@@ -34,14 +34,12 @@ from .generation import (
 )
 from .homology import (
     FPModule,
-    ann_module,
     ann_total_homology,
     closed_set,
     homology,
     homology_all,
     resolve_primes,
     supph,
-    support_contains,
 )
 from .ideals import Ideal
 from .matrices import Matrix
@@ -79,14 +77,12 @@ __all__ = [
     "thick_member",
     "validate_witness",
     "FPModule",
-    "ann_module",
     "ann_total_homology",
     "closed_set",
     "homology",
     "homology_all",
     "resolve_primes",
     "supph",
-    "support_contains",
     "Ideal",
     "Matrix",
     "GF",

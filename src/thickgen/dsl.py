@@ -778,25 +778,8 @@ def _cmd_obstruct(session, cmd):
     if I.ring != R:
         raise EngineError(f"ideal {ideal_name!r} is not defined over {ring_name!r}")
     report = strong_generation_obstruction(I, max_n, jobs=session.jobs)
-    head = [
-        "command: obstruct",
-        f"ring: {R.describe()}",
-        f"ideal: {I.render()}",
-        f"max: {max_n}",
-        "connected: yes" if report.connected else "connected: no",
-    ]
-    blocks = [head]
-    if report.mode == "degenerate":
-        head.append(f"stabilizes: at {report.stabilization_index}")
-        head.append(f"nilpotent: index {report.nilpotency_index}")
-    else:
-        head.append("stabilizes: no")
-        for cert in report.certificates:
-            blocks.append([f"n: {cert.level}"] + cert.lines())
-    tail = [f"verdict: {report.verdict}"]
-    if report.note:
-        tail.append(f"note: {report.note}")
-    blocks.append(tail)
+    blocks = report.blocks()
+    blocks[0].insert(0, "command: obstruct")
     return blocks
 
 

@@ -447,36 +447,37 @@ class ObstructionReport:
     max_n: int
     connected: object
     mode: str  # "obstruction" | "degenerate"
-    stabilization_index: object
     nilpotency_index: object
     certificates: list = field(default_factory=list)
     verdict: str = ""
     note: str = ""
 
-    def lines(self):
-        out = [
+    def blocks(self):
+        """Report blocks: the head, one block per certificate, the
+        verdict."""
+        head = [
             f"ring: {self.ring.describe()}",
             f"ideal: {self.ideal.render()}",
             f"max: {self.max_n}",
             "connected: yes" if self.connected else "connected: no",
         ]
         if self.mode == "degenerate":
-            out.append(f"stabilizes: at {self.stabilization_index}")
-            out.append(f"nilpotent: index {self.nilpotency_index}")
+            # I^(k-1) != I^k = (0): the power chain stops at the index
+            head.append(f"stabilizes: at {self.nilpotency_index}")
+            head.append(f"nilpotent: index {self.nilpotency_index}")
         else:
-            out.append("stabilizes: no")
-            for cert in self.certificates:
-                out.append(f"n: {cert.level}")
-                out.extend("  " + line for line in cert.lines())
-        out.append(f"verdict: {self.verdict}")
+            head.append("stabilizes: no")
+        tail = [f"verdict: {self.verdict}"]
         if self.note:
-            out.append(f"note: {self.note}")
-        return out
+            tail.append(f"note: {self.note}")
+        certs = [[f"n: {cert.level}"] + cert.lines() for cert in self.certificates]
+        return [head] + certs + [tail]
 
 
 def strong_generation_obstruction(I, max_n, jobs=1):
     """Either the nilpotent degeneration or a ladder of lower-bound
     certificates koszul(I^n) needing >= n levels for n = 2..max_n.
+    Nilpotence is decided exactly, whatever max_n is.
 
     jobs > 1 computes the independent n-certificates in worker
     processes; results are collected back in ascending n order."""
@@ -499,21 +500,14 @@ def strong_generation_obstruction(I, max_n, jobs=1):
             f"connectedness of Spec {ring.describe()} undecided; "
             "cannot launch the obstruction"
         )
-    stab = I.powers_stabilize(max_n)
-    if stab is not None:
-        nil = I.is_nilpotent(stab + 1)
-        if nil is None:
-            raise EngineError(
-                "stabilizing proper ideal over a connected spectrum "
-                "failed to be nilpotent"
-            )
+    nil = I.nilpotency_index()
+    if nil is not None:
         return ObstructionReport(
             ring=ring,
             ideal=I,
             max_n=max_n,
             connected=True,
             mode="degenerate",
-            stabilization_index=stab,
             nilpotency_index=nil,
             verdict="degenerate-nilpotent",
             note="the ideal is nilpotent, so V(I) = Spec R and the power "
@@ -534,7 +528,6 @@ def strong_generation_obstruction(I, max_n, jobs=1):
         max_n=max_n,
         connected=True,
         mode="obstruction",
-        stabilization_index=None,
         nilpotency_index=None,
         certificates=certs,
         verdict="not-strongly-generated",

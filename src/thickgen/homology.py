@@ -1,14 +1,21 @@
 """Homology of free complexes as finitely presented modules, plus
 annihilators and homological support.
 
-Over a Euclidean domain, H^n = ker(d^n)/im(d^(n-1)) comes from writing
-the image columns in kernel coordinates and taking Smith normal form.
+Every Tier-1 ring is R = D/(mu) for a Euclidean cover ring D, with
+mu = 0 when R is D itself, and all the work happens in D on lifted
+matrices.  H^n = ker(d^n)/im(d^(n-1)) comes from a basis K of the
+kernel lattice, the relations [lift(d^(n-1)) | mu*I] written in K
+coordinates, and their Smith normal form.  For mu = 0 the lattice is
+the kernel of d^n; for mu != 0 it is the projection of
+ker[lift(d^n) | mu*I], which contains mu*I and so has full rank.
+Reading the invariant factors is the same for both: units vanish,
+factors associate to mu (zero when mu = 0) are free of rank one, and
+the rest are torsion.
 
-Over a quotient R = D/(mu) of a Euclidean domain D, everything lifts:
-the kernel of d^n over R is the projection of ker[lift(d^n) | mu*I],
-a full-rank lattice L; relations are [lift(d^(n-1)) | mu*I] solved in a
-basis of L; the invariant factors then all divide mu, with factors
-associate to mu contributing free rank over R.
+Annihilators and supports are principal, so they are computed on cover
+generators: the total annihilator is the lcm of the per-degree ones,
+and V(g) lies in a union of V(h_j) iff the product of the h_j lies in
+sqrt((g)).
 """
 
 from dataclasses import dataclass
@@ -16,8 +23,9 @@ from dataclasses import dataclass
 from .errors import TierError
 from .ideals import Ideal
 from .matrices import Matrix
-from .rings import QuotientRing, RingElem
+from .rings import RingElem
 from .snf import kernel_basis, smith_normal_form, solve_exact
+from .spectrum import prime_factors
 
 
 @dataclass(frozen=True)
@@ -66,56 +74,35 @@ class FPModule:
         return Ideal(self.ring, [RingElem(self.ring, self.factors[-1])])
 
 
-def fp_module_from_invariants(ring, free_rank, raw_factors):
-    """Normalize a list of candidate invariant factors (drop units,
-    keep canonical associates).  The list must already form a
-    divisibility chain."""
-    factors = []
-    for f in raw_factors:
-        if ring.is_zero(f):
-            raise ValueError("zero invariant factor")
-        if not ring.is_unit(f):
-            factors.append(f)
-    return FPModule(ring, free_rank, tuple(factors))
-
-
 def fp_direct_sum(a, b):
-    """Invariant-factor form of a (+) b, recomputed from a diagonal
-    presentation so the divisibility chain is restored."""
+    """Invariant-factor form of a (+) b, recomputed from one diagonal
+    presentation over the cover ring so the divisibility chain is
+    restored; each free summand is presented by the modulus."""
     if a.ring != b.ring:
         raise TierError("direct sum of modules over different rings")
     ring = a.ring
-    if isinstance(ring, QuotientRing):
-        cover = ring.cover_ring
-        diag = [ring.lift(f) for f in a.factors + b.factors]
-        diag += [ring.modulus] * (a.free_rank + b.free_rank)
-        pres = Matrix.diagonal(cover, diag)
-        snf = smith_normal_form(pres)
-        return _module_from_cover_invariants(ring, len(diag), snf.invariants)
-    diag = [f for f in a.factors + b.factors]
-    pres = Matrix.diagonal(ring, diag)
-    snf = smith_normal_form(pres)
-    free = a.free_rank + b.free_rank + (len(diag) - snf.rank)
-    return fp_module_from_invariants(ring, free, snf.invariants)
+    diag = [ring.lift(f) for f in a.factors + b.factors]
+    diag += [ring.modulus] * (a.free_rank + b.free_rank)
+    snf = smith_normal_form(Matrix.diagonal(ring.cover_ring, diag))
+    return _read_invariants(ring, len(diag), snf.diagonal)
 
 
-def _module_from_cover_invariants(ring, expected, invariants):
-    """Interpret cover-ring invariant factors as an FPModule over the
-    quotient ring: unit factors vanish, factors associate to the
-    modulus are free of rank one, the rest are torsion."""
+def _read_invariants(ring, k, diagonal):
+    """FPModule over ring = D/(mu) presented by k generators over D,
+    with `diagonal` the Smith form diagonal of the relations (canonical
+    associates, as is the modulus): unit entries vanish, entries associate to mu (zero included when
+    mu = 0) and the k - len(diagonal) unrelated generators are free of
+    rank one, the rest are torsion."""
     cover = ring.cover_ring
-    mu_canon = cover.canonical_associate(ring.modulus)[0]
-    assert len(invariants) == expected, "quotient presentation lost rank"
-    free = 0
+    free = k - len(diagonal)
     factors = []
-    for d in invariants:
-        c = cover.canonical_associate(d)[0]
-        if cover.is_unit(c):
+    for d in diagonal:
+        if cover.is_unit(d):
             continue
-        if c == mu_canon:
+        if d == ring.modulus:
             free += 1
         else:
-            factors.append(ring.project(c))
+            factors.append(ring.project(d))
     return FPModule(ring, free, tuple(factors))
 
 
@@ -127,58 +114,43 @@ def homology(X, n):
     rank_n = X.rank(n)
     if rank_n == 0:
         return FPModule(ring, 0, ())
-    A = X.diff(n)
-    B = X.diff(n - 1)
-    if isinstance(ring, QuotientRing):
-        return _homology_quotient(ring, A, B, rank_n)
-    K = kernel_basis(A)
+    cover = ring.cover_ring
+    A = X.diff(n).map_entries(ring.lift, cover)
+    rels = X.diff(n - 1).map_entries(ring.lift, cover)
+    if cover.is_zero(ring.modulus):
+        K = kernel_basis(A)
+    else:
+        K = _kernel_lattice(cover, ring.modulus, A, rank_n)
+        rels = Matrix.hstack(cover, [rels, Matrix.scalar(cover, ring.modulus, rank_n)])
     k = K.ncols
     if k == 0:
         return FPModule(ring, 0, ())
-    if B.ncols == 0:
+    if rels.ncols == 0:
         return FPModule(ring, k, ())
-    C = solve_exact(K, B)
-    snf = smith_normal_form(C)
-    free = k - snf.rank
-    return fp_module_from_invariants(ring, free, snf.invariants)
+    snf = smith_normal_form(solve_exact(K, rels))
+    return _read_invariants(ring, k, snf.diagonal)
 
 
-def _homology_quotient(ring, A, B, rank_n):
-    cover = ring.cover_ring
-    mu = ring.modulus
-    A_c = A.map_entries(ring.lift, cover)
-    B_c = B.map_entries(ring.lift, cover)
+def _kernel_lattice(cover, mu, A, rank_n):
+    """Column basis of the lattice L = {v in D^rank_n : A v in mu D^m},
+    whose projection is the kernel of d^n over D/(mu).  L contains
+    mu*I, so it has full rank."""
     m = A.nrows
-    if m:
-        Aext = Matrix.hstack(cover, [A_c, Matrix.scalar(cover, mu, m)])
-    else:
-        Aext = A_c
+    Aext = Matrix.hstack(cover, [A, Matrix.scalar(cover, mu, m)]) if m else A
     Kext = kernel_basis(Aext)
     P = Kext.submatrix(range(rank_n), range(Kext.ncols))
-    # column basis of the kernel lattice; contains mu*I so rank is full
     psnf = smith_normal_form(P)
     cols = []
     for i, d in enumerate(psnf.diagonal):
         if not cover.is_zero(d):
             cols.append(psnf.Uinv.submatrix(range(rank_n), [i]).scale(d))
     assert len(cols) == rank_n, "kernel lattice is not full rank"
-    Kb = Matrix.hstack(cover, cols, nrows=rank_n)
-    rel_blocks = [Matrix.scalar(cover, mu, rank_n)]
-    if B_c.ncols:
-        rel_blocks.insert(0, B_c)
-    rels = Matrix.hstack(cover, rel_blocks)
-    C = solve_exact(Kb, rels)
-    snf = smith_normal_form(C)
-    return _module_from_cover_invariants(ring, rank_n, snf.invariants)
+    return Matrix.hstack(cover, cols, nrows=rank_n)
 
 
 def homology_all(X):
     """Dict degree -> FPModule, over the degrees where X has a module."""
     return {n: homology(X, n) for n in X.degrees()}
-
-
-def ann_module(M):
-    return M.ann()
 
 
 def ann_total_homology(X):
@@ -187,18 +159,11 @@ def ann_total_homology(X):
     ring = X.ring
     if ring.tier != 1:
         raise TierError(f"homology needs a Tier-1 ring, got {ring.describe()}")
-    if isinstance(ring, QuotientRing):
-        cover = ring.cover_ring
-        acc = cover.one()
-        for n, M in homology_all(X).items():
-            g = M.ann().cover_gen
-            acc = cover.lcm(acc, g)
-        return Ideal(ring, [RingElem(ring, ring.project(acc))])
-    acc = ring.one()
-    for n, M in homology_all(X).items():
-        g = M.ann().normal_payloads[0]
-        acc = ring.lcm(acc, g)
-    return Ideal(ring, [RingElem(ring, acc)])
+    cover = ring.cover_ring
+    acc = cover.one()
+    for M in homology_all(X).values():
+        acc = cover.lcm(acc, M.ann().cover_gen)
+    return Ideal(ring, [RingElem(ring, ring.project(acc))])
 
 
 # ----------------------------------------------------------------- support
@@ -242,14 +207,11 @@ class SupportSet:
                 all(t.radical_member(g) for g in target.normal_gens)
                 for t in other.components
             )
-        if isinstance(ring, QuotientRing):
-            cover = ring.cover_ring
-            self_gens = [c.cover_gen for c in self.components]
-            other_gens = [c.cover_gen for c in other.components]
-        else:
-            cover = ring
-            self_gens = [c.normal_payloads[0] for c in self.components]
-            other_gens = [c.normal_payloads[0] for c in other.components]
+        # V(g) <= union of V(h) iff the product of the h lies in sqrt((g)),
+        # read in the cover ring, where every component is principal
+        cover = ring.cover_ring
+        self_gens = [c.cover_gen for c in self.components]
+        other_gens = [c.cover_gen for c in other.components]
         for g in other_gens:
             if cover.is_zero(g):
                 # V(0) = Spec of a domain: only covered by another V(0)
@@ -287,12 +249,8 @@ def supph(X):
 
 
 def _component_key(ideal):
-    payload = ideal.normal_payloads[0]
-    ring = ideal.ring
-    if isinstance(ring, QuotientRing):
-        g = ideal.cover_gen
-        return (ring.cover_ring.euclid_norm(g), _payload_key(g))
-    return (ring.euclid_norm(payload), _payload_key(payload))
+    g = ideal.cover_gen
+    return (ideal.ring.cover_ring.euclid_norm(g), _payload_key(g))
 
 
 def _payload_key(p):
@@ -306,56 +264,30 @@ def closed_set(ideal):
     return SupportSet(ideal.ring, (ideal,))
 
 
-def support_contains(big, small):
-    return big.contains(small)
-
-
 def resolve_primes(support):
     """List of prime ideals covering the support, for display; None when
     the spectrum is infinite over the component or factorization is
     incomplete."""
-    from .factor import factor_integer, factor_unipoly
-
     ring = support.ring
     if support.is_empty():
         return []
     if ring.tier == 2:
         return None
+    cover = ring.cover_ring
     primes = []
-    seen = set()
-
-    def push(payload):
-        if payload not in seen:
-            seen.add(payload)
-            primes.append(payload)
-
     for comp in support.components:
-        if isinstance(ring, QuotientRing):
-            g = comp.cover_gen
-            cover = ring.cover_ring
-            if cover.kind == "Z":
-                for p, _ in factor_integer(g):
-                    push(ring.project(p))
-                continue
-            pairs, complete = factor_unipoly(ring.F, g)
-            if not complete:
+        g = comp.cover_gen
+        if cover.is_zero(g):
+            # V(0) over a domain: one point for a field, else infinite
+            if not ring.is_field:
                 return None
-            for h, _ in pairs:
-                push(ring.project(h))
-            continue
-        g = comp.normal_payloads[0]
-        if ring.is_field:
-            push(ring.zero())
-            continue
-        if ring.is_zero(g):
-            return None
-        if ring.kind == "Z":
-            for p, _ in factor_integer(g):
-                push(p)
+            pairs = [(cover.zero(), 1)]
         else:
-            pairs, complete = factor_unipoly(ring.F, g)
+            pairs, complete = prime_factors(ring, g)
             if not complete:
                 return None
-            for h, _ in pairs:
-                push(h)
+        for p, _ in pairs:
+            p = ring.project(p)
+            if p not in primes:
+                primes.append(p)
     return [Ideal(ring, [RingElem(ring, p)]) for p in primes]

@@ -1,10 +1,14 @@
 """Finitely generated ideals with cached canonical normal data.
 
-Normal data is computed at construction:
-  - Euclidean rings: the canonical gcd generator,
-  - quotients of Euclidean rings: the canonical generator of the
-    lifted ideal (gcd of lifts and the modulus),
-  - multivariate rings: the reduced Groebner basis.
+Every Tier-1 ring is a quotient D/(mu) of a Euclidean cover ring D,
+with mu = 0 when the ring is D itself.  An ideal of D/(mu) is the
+image of the principal ideal of D generated by
+
+    g = gcd(lift(f_1), ..., lift(f_k), mu),
+
+the cover generator.  Membership, unit and radical tests all run on g
+in D; the normal data is the projection of g.  Over the Tier-2
+multivariate rings the normal data is the reduced Groebner basis.
 
 Ideal equality is normal-data equality, which is sound because each of
 those normal forms is a complete invariant.
@@ -14,7 +18,7 @@ from . import polys
 from .budget import StepCounter
 from .errors import RadicalBoundExceededError, StepBudgetExceededError, TierError
 from .groebner import buchberger, normal_form
-from .rings import EuclideanRing, MultiPolyRing, QuotientRing, RingElem
+from .rings import MultiPolyRing, RingElem
 
 RADICAL_POWER_BOUND = 64
 
@@ -29,19 +33,13 @@ class Ideal:
         if not pruned:
             pruned = (RingElem(ring, ring.zero()),)
         self.gens = pruned
-        self._cover_gen = None
-        if isinstance(ring, EuclideanRing):
-            self._normal = (ring.gcd_list([g.payload for g in pruned]),)
-        elif isinstance(ring, QuotientRing):
-            cover = ring.cover_ring
-            lifts = [ring.lift(g.payload) for g in pruned] + [ring.modulus]
-            g = cover.gcd_list(lifts)
-            self._cover_gen = g
-            self._normal = (ring.project(g),)
-        elif isinstance(ring, MultiPolyRing):
+        if isinstance(ring, MultiPolyRing):
+            self._cover_gen = None
             self._normal = buchberger(ring, [g.payload for g in pruned])
         else:
-            raise TierError(f"no ideal calculus for {ring.describe()}")
+            lifts = [ring.lift(g.payload) for g in pruned] + [ring.modulus]
+            self._cover_gen = ring.cover_ring.gcd_list(lifts)
+            self._normal = (ring.project(self._cover_gen),)
 
     # normal data --------------------------------------------------------
 
@@ -57,13 +55,11 @@ class Ideal:
 
     @property
     def cover_gen(self):
-        """Canonical generator of the lifted ideal, for quotient rings;
-        for Euclidean rings the canonical generator itself."""
-        if self._cover_gen is not None:
-            return self._cover_gen
-        if isinstance(self.ring, EuclideanRing):
-            return self._normal[0]
-        raise TierError("cover generator only exists over principal-ideal tiers")
+        """Canonical generator of the lifted ideal in the cover ring; over
+        a Euclidean ring the canonical generator itself."""
+        if self._cover_gen is None:
+            raise TierError("cover generator only exists over principal-ideal tiers")
+        return self._cover_gen
 
     def render(self):
         return "(" + ", ".join(self.ring.render(g.payload) for g in self.normal_gens) + ")"
@@ -91,9 +87,7 @@ class Ideal:
     def is_unit_ideal(self):
         if isinstance(self.ring, MultiPolyRing):
             return len(self._normal) == 1 and self.ring.is_unit(self._normal[0])
-        if isinstance(self.ring, QuotientRing):
-            return self.ring.cover_ring.is_unit(self._cover_gen)
-        return self.ring.is_unit(self._normal[0])
+        return self.ring.cover_ring.is_unit(self._cover_gen)
 
     def is_proper(self):
         return not self.is_unit_ideal()
@@ -105,14 +99,11 @@ class Ideal:
             if not self._normal:
                 return ring.is_zero(f.payload)
             return not normal_form(ring, f.payload, self._normal)
-        if isinstance(ring, QuotientRing):
-            cover = ring.cover_ring
-            lifted = ring.lift(f.payload)
-            return cover.is_zero(cover.euclid_divmod(lifted, self._cover_gen)[1])
-        g = self._normal[0]
-        if ring.is_zero(g):
-            return ring.is_zero(f.payload)
-        return ring.is_zero(ring.euclid_divmod(f.payload, g)[1])
+        cover = ring.cover_ring
+        lifted = ring.lift(f.payload)
+        if cover.is_zero(self._cover_gen):
+            return cover.is_zero(lifted)
+        return cover.is_zero(cover.euclid_divmod(lifted, self._cover_gen)[1])
 
     def contains(self, other):
         if other.ring != self.ring:
@@ -160,12 +151,27 @@ class Ideal:
         """Least k <= max_n with I^k == (0), else None."""
         if max_n < 1:
             raise ValueError("is_nilpotent needs max_n >= 1")
-        current = self
-        for k in range(1, max_n + 1):
-            if current.is_zero_ideal():
-                return k
+        k = self.nilpotency_index()
+        return k if k is not None and k <= max_n else None
+
+    def nilpotency_index(self):
+        """Least k with I^k == (0), or None when I is not nilpotent.
+
+        Exact, with no power bound: over a domain only (0) is nilpotent;
+        over D/(mu) the ideal is nilpotent iff its generators lie in
+        sqrt(0), and then its powers reach (0)."""
+        if self.is_zero_ideal():
+            return 1
+        if self.ring.is_domain:
+            return None
+        nilradical = Ideal(self.ring, [0])
+        if not all(nilradical.radical_member(g) for g in self.normal_gens):
+            return None
+        k, current = 1, self
+        while not current.is_zero_ideal():
             current = current.product(self)
-        return None
+            k += 1
+        return k
 
     # radical membership -------------------------------------------------
 
@@ -178,10 +184,7 @@ class Ideal:
             return True
         if isinstance(ring, MultiPolyRing):
             return self._radical_member_multi(f.payload)
-        if isinstance(ring, QuotientRing):
-            cover = ring.cover_ring
-            return _euclid_radical_member(cover, self._cover_gen, ring.lift(f.payload))
-        return _euclid_radical_member(ring, self._normal[0], f.payload)
+        return _euclid_radical_member(ring.cover_ring, self._cover_gen, ring.lift(f.payload))
 
     def _radical_member_multi(self, f):
         ring = self.ring

@@ -106,7 +106,25 @@ class Ring:
 
 class EuclideanRing(Ring):
     """Mixin for rings with exact division-with-remainder (Z, fields,
-    univariate polynomials over a field)."""
+    univariate polynomials over a field).
+
+    A Euclidean ring D is also the quotient D/(0): it is its own cover
+    ring, its modulus is zero, and lift and project are the identity.
+    Principal-ideal code works through that view alone."""
+
+    @property
+    def cover_ring(self):
+        return self
+
+    @property
+    def modulus(self):
+        return self.zero()
+
+    def lift(self, a):
+        return a
+
+    def project(self, c):
+        return c
 
     def euclid_norm(self, a):
         raise NotImplementedError
@@ -137,7 +155,9 @@ class EuclideanRing(Ring):
 
 
 class QuotientRing(Ring):
-    """Mixin for quotients of a Euclidean domain by a principal ideal."""
+    """Mixin for quotients D/(mu) of a Euclidean domain D by a nonzero
+    principal ideal: cover_ring is D, modulus is mu, lift picks the
+    canonical representative in D and project reduces mod mu."""
 
     cover_ring = None
     modulus = None

@@ -2,28 +2,75 @@
 enumeration for finite spectra, and the nilpotence dichotomy for
 stabilizing ideal power chains.
 
-Idempotents over Z/m come from the prime-power CRT decomposition; over
-k[x]/(f) from the coprime squarefree split of f, with e -> 3e^2 - 2e^3
-Newton lifting to handle multiplicities (quadratically convergent in
-every characteristic).  A ring is reported connected exactly when 0
-and 1 are the only idempotents; over Q-coefficient quotients whose
-modulus resists complete factorization the answer can be "unknown",
-reported as None rather than a guess.
+A domain (every Euclidean ring, every Tier-2 ring) has only the
+idempotents 0 and 1.  A quotient R = D/(mu) of a Euclidean domain is
+read through its cover ring D: prime_factors splits mu into pairwise
+coprime blocks q_i = p_i^e_i (factor_integer over Z, factor_unipoly
+over k[t]), and the CRT idempotent of a block is the residue of
+(mu/q_i) * s with s * (mu/q_i) = 1 mod q_i, exact because the blocks
+are coprime.  Sums of these give every idempotent once the split is
+complete, and two or more blocks already show that Spec is
+disconnected.  A ring is reported connected exactly when 0 and 1 are
+the only idempotents; over Q-coefficient quotients whose modulus
+resists complete factorization the answer can be "unknown", reported
+as None rather than a guess.
 """
 
 from dataclasses import dataclass
 
-from . import polys
-from .errors import ConnectednessUnknownError, FactorizationIncompleteError
+from .errors import FactorizationIncompleteError
 from .factor import factor_integer, factor_unipoly
 from .ideals import Ideal
-from .rings import (
-    IntModRing,
-    MultiPolyRing,
-    QuotientRing,
-    RingElem,
-    UniQuotRing,
-)
+from .rings import RingElem
+
+
+def prime_factors(ring, g):
+    """(pairs, complete) for a nonzero non-unit g of ring's cover ring:
+    pairs lists (canonical prime, exponent), pairwise coprime with
+    product g up to a unit; complete=False means a listed factor of
+    degree >= 4 over Q may itself be reducible."""
+    cover = ring.cover_ring
+    if cover.kind == "Z":
+        return factor_integer(g), True
+    return factor_unipoly(cover.F, g)
+
+
+def _inverse_mod(cover, a, q):
+    """s with s*a = 1 mod q, for a coprime to q (extended Euclid)."""
+    r0, r1, s0, s1 = a, q, cover.one(), cover.zero()
+    while not cover.is_zero(r1):
+        quo, rem = cover.euclid_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, rem, s1, cover.sub(s0, cover.mul(quo, s1))
+    return cover.mul(s0, cover.inv_unit(r0))
+
+
+def _crt_basis(ring):
+    """(basis, complete): the CRT idempotent of each block of the
+    coprime split of the modulus of a quotient ring, in prime_factors
+    order, and whether that split is into prime powers."""
+    cover = ring.cover_ring
+    mu = ring.modulus
+    pairs, complete = prime_factors(ring, mu)
+    basis = []
+    for p, e in pairs:
+        q = cover.pow_(p, e)
+        rest = cover.exact_div(mu, q)
+        basis.append(ring.project(cover.mul(rest, _inverse_mod(cover, rest, q))))
+    return basis, complete
+
+
+def _subset_sums(ring, basis):
+    """The 2^len(basis) sums of subsets of basis, sorted by Euclidean
+    norm then payload (so 0 and 1 come first)."""
+    cover = ring.cover_ring
+    out = set()
+    for mask in range(1 << len(basis)):
+        e = ring.zero()
+        for i, b in enumerate(basis):
+            if mask >> i & 1:
+                e = ring.add(e, b)
+        out.add(e)
+    return sorted(out, key=lambda p: (cover.euclid_norm(p), p))
 
 
 def idempotents(ring):
@@ -32,114 +79,35 @@ def idempotents(ring):
     Raises FactorizationIncompleteError when the modulus cannot be
     fully split (so the complete list cannot be certified).
     """
-    if ring.is_domain or ring.is_field:
+    if ring.is_domain:
         return [ring.zero(), ring.one()]
-    if isinstance(ring, IntModRing):
-        return _idempotents_intmod(ring)
-    if isinstance(ring, UniQuotRing):
-        return _idempotents_uniquot(ring)
-    raise FactorizationIncompleteError(
-        f"no idempotent enumeration for {ring.describe()}"
-    )
-
-
-def _idempotents_intmod(ring):
-    m = ring.m
-    blocks = [p**e for p, e in factor_integer(m)]
-    basis = []
-    for q in blocks:
-        rest = m // q
-        basis.append(rest * pow(rest, -1, q) % m)
-    out = set()
-    for mask in range(1 << len(basis)):
-        e = 0
-        for i, b in enumerate(basis):
-            if mask >> i & 1:
-                e = (e + b) % m
-        out.add(e)
-    return sorted(out)
-
-
-def _coprime_split(ring):
-    """Pairwise coprime monic blocks q_i^(e_i) with product the modulus,
-    plus a completeness flag (False when a block of degree >= 4 over Q
-    may itself split further)."""
-    pairs, complete = factor_unipoly(ring.F, ring.modulus)
-    blocks = [polys.uni_pow(ring.F, h, e) for h, e in pairs]
-    return pairs, blocks, complete
-
-def _idempotents_uniquot(ring):
-    F = ring.F
-    cover = ring.cover_ring
-    pairs, blocks, complete = _coprime_split(ring)
+    basis, complete = _crt_basis(ring)
     if not complete:
         raise FactorizationIncompleteError(
             f"modulus of {ring.describe()} did not factor completely"
         )
-    mu = ring.modulus
-    basis = []
-    for q in blocks:
-        rest = cover.exact_div(mu, q)
-        # inverse of rest modulo q exists because the blocks are coprime
-        g, s, _ = polys.uni_ext_gcd(F, rest, q)
-        assert polys.uni_deg(g) == 0
-        e = ring.project(polys.uni_mul(F, rest, s))
-        e = _lift_idempotent(ring, e)
-        basis.append(e)
-    out = set()
-    for mask in range(1 << len(basis)):
-        e = ring.zero()
-        for i, b in enumerate(basis):
-            if mask >> i & 1:
-                e = ring.add(e, b)
-        out.add(e)
-    return sorted(out, key=lambda p: (polys.uni_deg(p), p))
-
-
-def _lift_idempotent(ring, e):
-    """Newton-lift e to an exact idempotent mod the modulus via
-    e <- 3e^2 - 2e^3; the defect squares each round."""
-    for _ in range(64):
-        sq = ring.mul(e, e)
-        if sq == e:
-            return e
-        e = ring.sub(
-            ring.mul(ring.from_int(3), sq),
-            ring.mul(ring.from_int(2), ring.mul(sq, e)),
-        )
-    raise FactorizationIncompleteError("idempotent lifting did not converge")
+    return _subset_sums(ring, basis)
 
 
 def is_connected_spec(ring):
     """(connected, witness): connected is True/False/None (None =
     undecided), witness is a nontrivial idempotent payload when
-    disconnected."""
-    if ring.is_domain or ring.is_field:
+    disconnected.  A split into two coprime blocks gives an exact
+    idempotent even when the blocks hide further factors.
+
+    The witness over k[t]/(f) is the first block's CRT idempotent; over
+    Z/m it is the least nontrivial idempotent, found among the 2^k
+    subset sums of the k prime-power blocks of m."""
+    if ring.is_domain:
         return True, None
-    if isinstance(ring, IntModRing):
-        idems = _idempotents_intmod(ring)
-        if len(idems) == 2:
-            return True, None
-        witness = [e for e in idems if e not in (0, 1)][0]
-        return False, witness
-    if isinstance(ring, UniQuotRing):
-        pairs, blocks, complete = _coprime_split(ring)
-        if len(blocks) >= 2:
-            # a two-block coprime split gives an exact idempotent even
-            # when the blocks hide further factors
-            F = ring.F
-            cover = ring.cover_ring
-            q = blocks[0]
-            rest = cover.exact_div(ring.modulus, q)
-            g, s, _ = polys.uni_ext_gcd(F, rest, q)
-            e = _lift_idempotent(ring, ring.project(polys.uni_mul(F, rest, s)))
-            return False, e
-        if complete:
-            return True, None
-        return None, None
-    raise ConnectednessUnknownError(
-        f"no connectedness test for {ring.describe()}"
-    )
+    basis, complete = _crt_basis(ring)
+    if len(basis) >= 2:
+        if ring.cover_ring.kind == "Z":
+            return False, _subset_sums(ring, basis)[2]
+        return False, basis[0]
+    if complete:
+        return True, None
+    return None, None
 
 
 @dataclass
@@ -175,20 +143,16 @@ def spec_description(ring):
     connected, witness = is_connected_spec(ring)
     points = None
     note = ""
-    if isinstance(ring, IntModRing):
-        points = [
-            Ideal(ring, [RingElem(ring, p % ring.m)]) for p, _ in factor_integer(ring.m)
-        ]
-    elif isinstance(ring, UniQuotRing):
-        pairs, complete = factor_unipoly(ring.F, ring.modulus)
+    if not ring.is_domain:
+        pairs, complete = prime_factors(ring, ring.modulus)
         if complete:
-            points = [Ideal(ring, [RingElem(ring, ring.project(h))]) for h, _ in pairs]
+            points = [Ideal(ring, [RingElem(ring, ring.project(p))]) for p, _ in pairs]
         else:
             note = "modulus did not factor completely; point list omitted"
     elif ring.is_field:
         points = [Ideal(ring, [0])]
         note = "a field: Spec is a single point"
-    elif isinstance(ring, MultiPolyRing):
+    elif ring.tier == 2:
         note = "polynomial ring over a field: a connected domain"
     else:
         note = "infinite spectrum of a principal ideal domain"

@@ -212,16 +212,22 @@ def test_obstruction_ladder_report():
     rep = strong_generation_obstruction(I, 4)
     assert rep.verdict == "not-strongly-generated"
     assert [c.level for c in rep.certificates] == [2, 3, 4]
-    joined = "\n".join(rep.lines())
-    assert "n: 4" in joined and "verdict: not-strongly-generated" in joined
+    blocks = rep.blocks()
+    assert blocks[0][-1] == "stabilizes: no"
+    assert [b[0] for b in blocks[1:-1]] == ["n: 2", "n: 3", "n: 4"]
+    assert blocks[-1][0] == "verdict: not-strongly-generated"
 
 
 def test_obstruction_degenerate_nilpotent():
-    rep = strong_generation_obstruction(Ideal(Zmod(8), [2]), 5)
-    assert rep.verdict == "degenerate-nilpotent"
-    assert rep.stabilization_index == 3
-    assert rep.nilpotency_index == 3
-    assert "Spec R" in rep.note
+    # (m, generator, max, index): nilpotence is decided exactly, also
+    # when the index lies past the ladder's max
+    for m, gen, max_n, index in [(8, 2, 5, 3), (32, 2, 3, 5)]:
+        rep = strong_generation_obstruction(Ideal(Zmod(m), [gen]), max_n)
+        assert rep.verdict == "degenerate-nilpotent"
+        assert rep.nilpotency_index == index
+        assert rep.blocks()[0][-2:] == [f"stabilizes: at {index}", f"nilpotent: index {index}"]
+        assert not rep.certificates
+        assert "Spec R" in rep.note
 
 
 def test_obstruction_disconnected_spectrum_refuses():
@@ -235,4 +241,4 @@ def test_obstruction_parallel_matches_serial():
     I = Ideal(R, [R.var_elem(0), R.var_elem(1)])
     serial = strong_generation_obstruction(I, 4, jobs=1)
     parallel = strong_generation_obstruction(I, 4, jobs=2)
-    assert serial.lines() == parallel.lines()
+    assert serial.blocks() == parallel.blocks()

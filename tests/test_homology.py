@@ -12,7 +12,6 @@ from thickgen.homology import (
     fp_direct_sum,
     homology,
     resolve_primes,
-    support_contains,
     supph,
 )
 from thickgen.ideals import Ideal
@@ -118,7 +117,6 @@ def test_supph_containment_drives_membership():
     assert S2.contains(S2)
     assert S6.contains(S2)          # V(2) inside V(6)
     assert not S2.contains(S6)      # (3) escapes
-    assert support_contains(S6, S2)
 
 
 def test_support_of_free_module_is_everything():

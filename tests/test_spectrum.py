@@ -1,7 +1,10 @@
 """Idempotents, connectedness of Spec, and the nilpotence dichotomy."""
 
+from fractions import Fraction
+
 import pytest
 
+from thickgen.errors import FactorizationIncompleteError
 from thickgen.ideals import Ideal
 from thickgen.rings import GF, QQ, ZZ, UniQuotRing, Zmod, poly_ring
 from thickgen.spectrum import (
@@ -34,6 +37,7 @@ def test_connected_iff_prime_power(m):
 def test_domains_and_fields_are_connected():
     for R in (ZZ, QQ, GF(7), poly_ring(QQ, ["x", "y"])):
         assert is_connected_spec(R) == (True, None)
+        assert idempotents(R) == [R.zero(), R.one()]
 
 
 def test_uniquot_idempotents_split_case():
@@ -42,6 +46,28 @@ def test_uniquot_idempotents_split_case():
     idems = idempotents(R)
     rendered = sorted(R.render(e) for e in idems)
     assert rendered == ["0", "1", "t", "t + 1"]
+
+
+def test_uniquot_split_witness_is_first_block_idempotent():
+    # F2[t]/(t^2+t): the blocks are t and t + 1, and the witness is the
+    # CRT idempotent of the first, = 1 mod t and = 0 mod t + 1
+    R = UniQuotRing(GF(2), "t", (0, 1, 1))
+    connected, witness = is_connected_spec(R)
+    assert connected is False
+    assert R.render(witness) == "t + 1"
+
+
+def test_uniquot_incomplete_split_is_still_disconnected():
+    # (t - 1)(t^4 + 3t^2 + 2) over Q: the quartic has no rational root
+    # and is not certified irreducible, so idempotents() refuses, yet the
+    # two coprime blocks give the exact idempotent (t^2 + 1)(t^2 + 2)/6
+    R = UniQuotRing(QQ, "t", tuple(Fraction(c) for c in (-2, 2, -3, 3, -1, 1)))
+    connected, witness = is_connected_spec(R)
+    assert connected is False
+    assert R.render(witness) == "1/6*t^4 + 1/2*t^2 + 1/3"
+    assert R.mul(witness, witness) == witness
+    with pytest.raises(FactorizationIncompleteError):
+        idempotents(R)
 
 
 def test_uniquot_field_case_connected():
