@@ -26,24 +26,16 @@ def build_arg_parser():
         action="store_true",
         help="buffered key: value output, byte-stable across runs",
     )
-    runp.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for independent obstruction certificates",
-    )
     return ap
 
 
-def run_script(text, machine=False, jobs=1, out=None):
+def run_script(text, machine=False, out=None):
     out = out if out is not None else sys.stdout
     try:
         session = parse_script(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    session.jobs = max(1, jobs)
     buffered = []
     first = True
     for cmd in session.commands:
@@ -77,7 +69,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: cannot read {args.script}: {exc}", file=sys.stderr)
         return 2
-    return run_script(text, machine=args.machine, jobs=args.jobs)
+    return run_script(text, machine=args.machine)
 
 
 if __name__ == "__main__":

@@ -99,7 +99,6 @@ class Command:
 class Session:
     bindings: dict = field(default_factory=dict)  # name -> (kind, value)
     commands: list = field(default_factory=list)
-    jobs: int = 1
 
     def bind(self, name, kind, value, line):
         if name in self.bindings:
@@ -523,13 +522,16 @@ def _bound_complex(parser, session):
 
 
 def _literal(parser, thunk):
-    """Literal construction failures are parse errors, not engine errors."""
+    """A literal that cannot be built is a parse error at its first
+    token, whether the engine or a ring constructor (ValueError)
+    refused it."""
+    start = parser.peek()
     try:
         return thunk()
     except ParseError:
         raise
-    except EngineError as exc:
-        parser.fail(str(exc))
+    except (EngineError, ValueError) as exc:
+        parser.fail(str(exc), start)
 
 
 def _parse_command(parser, session, word, tok):
@@ -777,7 +779,7 @@ def _cmd_obstruct(session, cmd):
     I = session.get(ideal_name, "ideal")
     if I.ring != R:
         raise EngineError(f"ideal {ideal_name!r} is not defined over {ring_name!r}")
-    report = strong_generation_obstruction(I, max_n, jobs=session.jobs)
+    report = strong_generation_obstruction(I, max_n)
     blocks = report.blocks()
     blocks[0].insert(0, "command: obstruct")
     return blocks

@@ -276,9 +276,9 @@ def level_lower_bound(X, G, cap=LEVEL_SEARCH_CAP):
                 note="support of the target is not contained in the support "
                 "of the generator",
             )
-    power = aG
     prev_witness = None
     for k in range(1, cap + 1):
+        power = aG.power(k)
         if aX.contains(power):
             note = ""
             if k == 1:
@@ -293,8 +293,7 @@ def level_lower_bound(X, G, cap=LEVEL_SEARCH_CAP):
         prev_witness = next(
             (g for g in power.normal_gens if not aX.member(g)), None
         )
-        nxt = power.product(aG)
-        if nxt == power:
+        if aG.power(k + 1) == power:
             # powers froze short of containment: no finite level exists
             return NotInThickCert(
                 missing_gen=prev_witness,
@@ -303,7 +302,6 @@ def level_lower_bound(X, G, cap=LEVEL_SEARCH_CAP):
                 note="annihilator powers stabilize without ever landing in "
                 "the target annihilator; no finite level",
             )
-        power = nxt
     raise LevelBoundExceededError(f"no containment within {cap} powers")
 
 
@@ -345,7 +343,7 @@ def koszul_power_obstruction(I, n):
             note="level one is trivial for a complex with nonzero homology",
         )
     p_prev = I.power(n - 1)
-    p_n = p_prev.product(I)
+    p_n = I.power(n)
     witness = next(
         (g for g in p_prev.normal_gens if not p_n.member(g)), None
     )
@@ -474,13 +472,11 @@ class ObstructionReport:
         return [head] + certs + [tail]
 
 
-def strong_generation_obstruction(I, max_n, jobs=1):
+def strong_generation_obstruction(I, max_n):
     """Either the nilpotent degeneration or a ladder of lower-bound
     certificates koszul(I^n) needing >= n levels for n = 2..max_n.
-    Nilpotence is decided exactly, whatever max_n is.
-
-    jobs > 1 computes the independent n-certificates in worker
-    processes; results are collected back in ascending n order."""
+    Nilpotence is decided exactly, whatever max_n is.  The rungs share
+    I's power ladder, so each power is computed once."""
     ring = I.ring
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
@@ -513,15 +509,7 @@ def strong_generation_obstruction(I, max_n, jobs=1):
             note="the ideal is nilpotent, so V(I) = Spec R and the power "
             "chain collapses; the obstruction degenerates",
         )
-    ns = range(2, max_n + 1)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            certs = list(pool.map(partial(koszul_power_obstruction, I), ns))
-    else:
-        certs = [koszul_power_obstruction(I, n) for n in ns]
+    certs = [koszul_power_obstruction(I, n) for n in range(2, max_n + 1)]
     return ObstructionReport(
         ring=ring,
         ideal=I,

@@ -1,4 +1,5 @@
-"""Finitely generated ideals with cached canonical normal data.
+"""Finitely generated ideals with cached canonical normal data and
+powers.
 
 Every Tier-1 ring is a quotient D/(mu) of a Euclidean cover ring D,
 with mu = 0 when the ring is D itself.  An ideal of D/(mu) is the
@@ -24,7 +25,7 @@ RADICAL_POWER_BOUND = 64
 
 
 class Ideal:
-    __slots__ = ("ring", "gens", "_normal", "_cover_gen")
+    __slots__ = ("ring", "gens", "_normal", "_cover_gen", "_powers")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -33,6 +34,7 @@ class Ideal:
         if not pruned:
             pruned = (RingElem(ring, ring.zero()),)
         self.gens = pruned
+        self._powers = []  # I^2, I^3, ...; I itself would be a reference cycle
         if isinstance(ring, MultiPolyRing):
             self._cover_gen = None
             self._normal = buchberger(ring, [g.payload for g in pruned])
@@ -124,14 +126,18 @@ class Ideal:
     __mul__ = product
 
     def power(self, n):
+        """I^n.  Each ideal keeps the powers I^2, I^3, ... it has built,
+        so a ladder over n costs one product per new rung."""
         if n < 0:
             raise ValueError("ideal powers need n >= 0")
         if n == 0:
             return Ideal(self.ring, [RingElem(self.ring, self.ring.one())])
-        acc = self
-        for _ in range(n - 1):
-            acc = acc.product(self)
-        return acc
+        if n == 1:
+            return self
+        powers = self._powers
+        while len(powers) < n - 1:
+            powers.append((powers[-1] if powers else self).product(self))
+        return powers[n - 2]
 
     __pow__ = power
 
@@ -139,20 +145,10 @@ class Ideal:
         """Least n <= max_n with I^n == I^(n+1), else None."""
         if max_n < 1:
             raise ValueError("powers_stabilize needs max_n >= 1")
-        current = self
         for n in range(1, max_n + 1):
-            nxt = current.product(self)
-            if nxt == current:
+            if self.power(n + 1) == self.power(n):
                 return n
-            current = nxt
         return None
-
-    def is_nilpotent(self, max_n):
-        """Least k <= max_n with I^k == (0), else None."""
-        if max_n < 1:
-            raise ValueError("is_nilpotent needs max_n >= 1")
-        k = self.nilpotency_index()
-        return k if k is not None and k <= max_n else None
 
     def nilpotency_index(self):
         """Least k with I^k == (0), or None when I is not nilpotent.
@@ -167,9 +163,8 @@ class Ideal:
         nilradical = Ideal(self.ring, [0])
         if not all(nilradical.radical_member(g) for g in self.normal_gens):
             return None
-        k, current = 1, self
-        while not current.is_zero_ideal():
-            current = current.product(self)
+        k = 1
+        while not self.power(k).is_zero_ideal():
             k += 1
         return k
 

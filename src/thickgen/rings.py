@@ -13,7 +13,7 @@ calculus only; no matrix kernels).
 from fractions import Fraction
 
 from . import polys
-from .errors import NotDivisibleError, RingMismatchError, TierError
+from .errors import EngineError, NotDivisibleError, RingMismatchError, TierError
 from .factor import is_prime
 
 
@@ -257,7 +257,7 @@ class IntegerRing(EuclideanRing):
         return (-a, -1) if a < 0 else (a, 1)
 
     def render(self, a):
-        return str(a)
+        return render_number(a)
 
     def random_element(self, rng):
         return rng.randint(-9, 9)
@@ -293,7 +293,7 @@ class RationalRing(FieldRing):
         return 1 / a
 
     def render(self, a):
-        return str(a)
+        return render_number(a)
 
     def random_element(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -334,7 +334,7 @@ class PrimeFieldRing(FieldRing):
         return pow(a, -1, self.p)
 
     def render(self, a):
-        return str(a)
+        return render_number(a)
 
     def random_element(self, rng):
         return rng.randrange(self.p)
@@ -408,7 +408,7 @@ class IntModRing(QuotientRing):
         return c % self.m
 
     def render(self, a):
-        return str(a)
+        return render_number(a)
 
     def random_element(self, rng):
         return rng.randrange(self.m)
@@ -659,10 +659,20 @@ class MultiPolyRing(Ring):
 # ------------------------------------------------------------- rendering
 
 
+def render_number(a):
+    """str() of an int or Fraction payload.  Python refuses to print
+    integers past its digit limit; that is an EngineError here."""
+    try:
+        return str(a)
+    except ValueError:
+        bits = max(abs(a.numerator).bit_length(), a.denominator.bit_length())
+        raise EngineError(f"cannot render a number of {bits} bits") from None
+
+
 def coeff_pieces(F, c):
     """(is_negative, rendered absolute value) for a field coefficient."""
     if F.kind == "Q" and c < 0:
-        return True, str(-c)
+        return True, render_number(-c)
     return False, F.render(c)
 
 

@@ -18,7 +18,7 @@ as None rather than a guess.
 
 from dataclasses import dataclass
 
-from .errors import FactorizationIncompleteError
+from .errors import EngineError, FactorizationIncompleteError
 from .factor import factor_integer, factor_unipoly
 from .ideals import Ideal
 from .rings import RingElem
@@ -200,7 +200,9 @@ def nilpotence_lemma_check(ideal, max_n):
     ring = ideal.ring
     connected, witness = is_connected_spec(ring)
     stab = ideal.powers_stabilize(max_n)
-    nil = ideal.is_nilpotent(max_n + 1)
+    nil = ideal.nilpotency_index()
+    if nil is not None and nil > max_n + 1:
+        nil = None  # reported within the bound, like the stabilization
     if not ideal.is_proper():
         verdict = "inapplicable-unit-ideal"
     elif stab is None:
@@ -211,7 +213,7 @@ def nilpotence_lemma_check(ideal, max_n):
         else:
             # the stable power of a proper ideal over a connected
             # spectrum must vanish; reaching this line is a bug
-            raise AssertionError(
+            raise EngineError(
                 "stabilizing proper ideal over a connected spectrum "
                 "failed to be nilpotent"
             )

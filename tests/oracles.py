@@ -4,8 +4,9 @@ Nothing here imports the package under test, and the algorithms are
 chosen to be different from the engine's: invariant factors come from
 gcds of k x k minors (not elimination), determinants from fraction-free
 Bareiss, multivariate arithmetic from exponent dicts (not sorted term
-tuples), and ideal membership from a degree-bounded linear solve over
-the rationals (not Groebner bases).
+tuples), and ideal membership from the consistency of a degree-bounded
+linear system over the rationals, decided by fraction-free Bareiss
+elimination (not Groebner bases).
 """
 
 import itertools
@@ -41,39 +42,30 @@ def rat_rank(rows):
     return rank
 
 
-def rat_solve(rows, rhs):
-    """One solution of A x = b over Q, or None."""
-    if not rows:
-        return [] if all(b == 0 for b in rhs) else None
-    nrows, ncols = len(rows), len(rows[0])
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(b)]
-        for row, b in zip(rows, rhs)
-    ]
-    pivots = []
-    row = 0
+def rat_consistent(rows, rhs):
+    """Whether A x = b has a solution over Q.  Each row of [A | b] is
+    scaled to integers, then fraction-free Bareiss elimination runs over
+    the columns of A; b must vanish in every row left without a pivot."""
+    aug = []
+    for row, b in zip(rows, rhs):
+        entries = [Fraction(x) for x in row] + [Fraction(b)]
+        scale = math.lcm(*(x.denominator for x in entries))
+        aug.append([x.numerator * (scale // x.denominator) for x in entries])
+    ncols = len(rows[0]) if rows else 0
+    rank, prev = 0, 1
     for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(aug)) if aug[r][col]), None)
         if pivot is None:
             continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if aug[r][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][ncols]
-    return x
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        top = aug[rank]
+        p = top[col]
+        for r in range(rank + 1, len(aug)):
+            a = aug[r][col]
+            aug[r] = [(p * x - a * y) // prev for x, y in zip(aug[r], top)]
+        prev = p
+        rank += 1
+    return all(row[-1] == 0 for row in aug[rank:])
 
 
 def int_det(rows):
@@ -194,8 +186,9 @@ def monomials_up_to(nvars, bound):
 
 def linear_membership(f, gens, nvars, deg_bound):
     """Does f lie in (gens) with multiplier degrees <= deg_bound?  Sets
-    up sum_i h_i g_i = f as a linear system over Q and solves it.  Only
-    a one-sided check: True is conclusive, False only within the bound."""
+    up sum_i h_i g_i = f as a linear system over Q and decides whether
+    it is consistent.  Only a one-sided check: True is conclusive, False
+    only within the bound."""
     cols = []
     keys = set(f)
     mons = monomials_up_to(nvars, deg_bound)
@@ -207,7 +200,7 @@ def linear_membership(f, gens, nvars, deg_bound):
     key_order = sorted(keys)
     A = [[col.get(k, Fraction(0)) for col in cols] for k in key_order]
     b = [f.get(k, Fraction(0)) for k in key_order]
-    return rat_solve(A, b) is not None
+    return rat_consistent(A, b)
 
 
 # ------------------------------------------------- univariate over Q

@@ -1,5 +1,6 @@
 """Script parsing, report rendering, exit codes, output determinism."""
 
+import contextlib
 import io
 import random
 
@@ -68,12 +69,40 @@ def test_parse_error_exit_one():
 def test_parse_error_message_has_position():
     out = io.StringIO()
     err = io.StringIO()
-    import contextlib
-
     with contextlib.redirect_stderr(err):
         code = run_script("ring R = Frobenius 7\n", out=out)
     assert code == 1
     assert "line 1" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "script,line,col",
+    [
+        ("ring R = Fp 4\n", 1, 10),
+        ("ring R = Zmod 1\n", 1, 10),
+        ("ring R = poly Q [x,x]\n", 1, 10),
+        ("ring R = polyquot Q [t] (3)\n", 1, 10),
+        ("ring R = Z\nideal I over R = (1/2)\n", 2, 18),
+    ],
+)
+def test_bad_literal_is_a_parse_error_at_the_literal(script, line, col):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run(script, machine=True)
+    assert code == 1
+    assert text == ""
+    assert err.getvalue().startswith(f"parse error: line {line}, col {col}: ")
+    assert "Traceback" not in err.getvalue()
+
+
+def test_number_too_long_to_render_is_an_engine_error():
+    script = "ring R = Z\nideal I over R = (2^100000)\nkoszul I as K\n"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run(script, machine=True)
+    assert code == 2
+    assert text == ""
+    assert err.getvalue() == "error: cannot render a number of 100001 bits\n"
 
 
 def test_engine_error_exit_two_machine_emits_nothing():
@@ -109,18 +138,6 @@ def test_machine_output_is_byte_deterministic():
     )
     runs = {run(script, machine=True)[1] for _ in range(2)}
     assert len(runs) == 1
-
-
-def test_jobs_flag_does_not_change_bytes():
-    script = (
-        "ring P = poly Q [x,y] grevlex\n"
-        "ideal M over P = (x, y)\n"
-        "obstruct P M --max 4\n"
-    )
-    a = run(script, machine=True, jobs=1)
-    b = run(script, machine=True, jobs=2)
-    assert a == b
-    assert "verdict: not-strongly-generated" in a[1]
 
 
 def test_witness_roundtrip_through_bindings():

@@ -218,6 +218,19 @@ def test_obstruction_ladder_report():
     assert blocks[-1][0] == "verdict: not-strongly-generated"
 
 
+def test_obstruction_ladder_computes_each_power_once(monkeypatch):
+    # the rungs n = 2..10 share one ladder I^2..I^10: 9 products, where
+    # rebuilding I^(n-1) for every rung takes 1 + 2 + ... + 9 = 45
+    R = poly_ring(QQ, ["x", "y"])
+    I = Ideal(R, [R.var_elem(0), R.var_elem(1)])
+    calls = []
+    product = Ideal.product
+    monkeypatch.setattr(Ideal, "product", lambda a, b: calls.append(1) or product(a, b))
+    rep = strong_generation_obstruction(I, 10)
+    assert [c.level for c in rep.certificates] == list(range(2, 11))
+    assert len(calls) == 9
+
+
 def test_obstruction_degenerate_nilpotent():
     # (m, generator, max, index): nilpotence is decided exactly, also
     # when the index lies past the ladder's max
@@ -234,11 +247,3 @@ def test_obstruction_disconnected_spectrum_refuses():
     with pytest.raises(DisconnectedSpectrumError) as err:
         strong_generation_obstruction(Ideal(Zmod(6), [2]), 4)
     assert "3" in str(err.value) or "4" in str(err.value)
-
-
-def test_obstruction_parallel_matches_serial():
-    R = poly_ring(QQ, ["x", "y"])
-    I = Ideal(R, [R.var_elem(0), R.var_elem(1)])
-    serial = strong_generation_obstruction(I, 4, jobs=1)
-    parallel = strong_generation_obstruction(I, 4, jobs=2)
-    assert serial.blocks() == parallel.blocks()

@@ -73,7 +73,29 @@ def test_zero_and_unit_ideals():
 def test_power_stabilization_and_nilpotence(m, gen, stab, nil):
     I = Ideal(Zmod(m), [gen])
     assert I.powers_stabilize(8) == stab
-    assert I.is_nilpotent(8) == nil
+    assert I.nilpotency_index() == nil
+
+
+def _ladder_cases():
+    Q1, Q2 = poly_ring(QQ, ["x"]), poly_ring(QQ, ["x", "y"])
+    x, y = Q2.var_elem(0), Q2.var_elem(1)
+    return [
+        Ideal(Zmod(8), [2]),
+        Ideal(Q1, [Q1.var_elem() * Q1.var_elem() - 1]),
+        Ideal(Q2, [x + y, x * y]),
+    ]
+
+
+@pytest.mark.parametrize("I", _ladder_cases(), ids=["Z/8", "Q[x]", "Q[x,y]"])
+def test_power_ladder_is_built_once(I):
+    top = I.power(6)
+    chain = [I]
+    while len(chain) < 6:
+        chain.append(chain[-1].product(I))
+    assert top is I.power(6)
+    for n in range(1, 7):
+        assert I.power(n) == chain[n - 1]
+        assert I.power(n) is I.power(n)
 
 
 def test_power_zero_gives_unit_ideal():
