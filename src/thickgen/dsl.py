@@ -153,7 +153,16 @@ class _Parser:
         tok = self.next()
         if tok.kind != "int":
             self.fail(f"expected integer, found {tok.text!r}", tok)
-        return -int(tok.text) if neg else int(tok.text)
+        value = self.int_value(tok)
+        return -value if neg else value
+
+    def int_value(self, tok):
+        """An int token's value; past CPython's digit limit for int()
+        it is a parse error at the token."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.fail(f"integer of {len(tok.text)} digits is too long", tok)
 
     def expect_flag(self, name):
         a = self.next()
@@ -217,7 +226,7 @@ class _Parser:
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "int":
-            return ("int", int(tok.text), tok)
+            return ("int", self.int_value(tok), tok)
         if tok.kind == "name":
             return ("var", tok.text, tok)
         if tok.kind == "op" and tok.text == "(":

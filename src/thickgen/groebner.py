@@ -2,10 +2,13 @@
 classical pair-skipping criteria, plus multivariate division.
 
 All routines work on MultiPolyRing payloads and are deterministic:
-pair selection breaks ties by (sugar, lcm order key, i, j), division
-always picks the first listed divisor, and the returned basis is the
-reduced Groebner basis sorted by descending leading monomial.
+pending S-pairs sit in a heap keyed by (sugar, lcm order key, i, j),
+so ties are broken in that order; division always picks the first
+listed divisor, and the returned basis is the reduced Groebner basis
+sorted by descending leading monomial.
 """
+
+import heapq
 
 from . import polys
 from .budget import StepCounter
@@ -79,14 +82,16 @@ def buchberger(ring, gens, counter=None):
         )
         return (sugar, key(lcm), i, j)
 
-    pending = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    # G and sugars are only appended to, so a pair's tuple never changes
+    # once both elements exist: heappop returns the least pending pair
+    pending = [pair_data(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+    heapq.heapify(pending)
     done = set()
 
     while pending:
         counter.tick()
-        best = min(pair_data(i, j) for (i, j) in pending)
+        best = heapq.heappop(pending)
         i, j = best[2], best[3]
-        pending.discard((i, j))
         done.add((i, j))
         lmi, lmj = G[i][0][0], G[j][0][0]
         lcm = polys.exp_lcm(lmi, lmj)
@@ -114,7 +119,7 @@ def buchberger(ring, gens, counter=None):
         sugars.append(best[0])
         new = len(G) - 1
         for k in range(new):
-            pending.add((k, new))
+            heapq.heappush(pending, pair_data(k, new))
 
     return reduce_basis(ring, G, counter)
 

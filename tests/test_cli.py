@@ -105,6 +105,25 @@ def test_number_too_long_to_render_is_an_engine_error():
     assert err.getvalue() == "error: cannot render a number of 100001 bits\n"
 
 
+@pytest.mark.parametrize(
+    "script,line,col",
+    [
+        ("ring R = Z\nideal I over R = (2)\nobstruct R I --max {n}\n", 3, 20),
+        ("ring R = Z\nwitness-principal R (2) {n} as W\n", 2, 25),
+    ],
+    ids=["expect_int", "parse_atom"],
+)
+def test_integer_token_too_long_for_int_is_a_parse_error(script, line, col):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run(script.format(n="9" * 5000), machine=True)
+    assert code == 1
+    assert text == ""
+    assert err.getvalue() == (
+        f"parse error: line {line}, col {col}: integer of 5000 digits is too long\n"
+    )
+
+
 def test_engine_error_exit_two_machine_emits_nothing():
     script = (
         "ring R = Z\n"

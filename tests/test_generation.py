@@ -1,6 +1,7 @@
 """Level bounds, build witnesses, thick membership, obstruction ladders."""
 
 import random
+import time
 
 import pytest
 
@@ -229,6 +230,21 @@ def test_obstruction_ladder_computes_each_power_once(monkeypatch):
     rep = strong_generation_obstruction(I, 10)
     assert [c.level for c in rep.certificates] == list(range(2, 11))
     assert len(calls) == 9
+
+
+def test_obstruction_ladder_over_qxyz_is_fast():
+    # m = (x, y, z) is monomial: f lies in m^k iff every term of f has
+    # total degree >= k, so I^(n-1) \ I^n membership needs no Groebner basis
+    R = poly_ring(QQ, ["x", "y", "z"])
+    I = Ideal(R, [R.var_elem(i) for i in range(3)])
+    start = time.perf_counter()
+    rep = strong_generation_obstruction(I, 6)
+    elapsed = time.perf_counter() - start
+    assert rep.verdict == "not-strongly-generated"
+    assert [c.level for c in rep.certificates] == [2, 3, 4, 5, 6]
+    for cert in rep.certificates:
+        assert min(sum(exp) for exp, _ in cert.witness.payload) == cert.level - 1
+    assert elapsed < 10.0
 
 
 def test_obstruction_degenerate_nilpotent():

@@ -7,11 +7,19 @@ from fractions import Fraction
 import pytest
 
 from oracles import linear_membership, mp_add, mp_const, mp_mul, mp_scale, mp_var
+from thickgen.budget import StepCounter
 from thickgen.groebner import buchberger, normal_form, reduce_basis, s_polynomial
 from thickgen.ideals import Ideal
-from thickgen.rings import QQ, RingElem, poly_ring
+from thickgen.rings import GF, QQ, RingElem, poly_ring
 
 R2 = poly_ring(QQ, ["x", "y"])
+# the invariant tests run over each of these: two and three variables,
+# characteristic 0 and p, lex and grevlex
+INVARIANT_RINGS = [
+    poly_ring(F, names, order)
+    for F, names in ((QQ, ["x", "y"]), (QQ, ["x", "y", "z"]), (GF(32003), ["x", "y"]))
+    for order in ("grevlex", "lex")
+]
 
 
 def to_oracle(ring, payload):
@@ -44,29 +52,55 @@ def test_normal_form_is_zero_on_members():
 
 
 def test_spolynomials_of_reduced_basis_reduce_to_zero():
-    rng = random.Random(42)
-    for _ in range(25):
-        gens = [random_poly(R2, rng) for _ in range(rng.randint(1, 3))]
-        gens = [g for g in gens if g] or [R2.var_elem(0).payload]
-        G = reduce_basis(R2, buchberger(R2, gens))
-        for i in range(len(G)):
-            for j in range(i + 1, len(G)):
-                s = s_polynomial(R2, G[i], G[j])
-                assert not normal_form(R2, s, G)
+    for R in INVARIANT_RINGS:
+        rng = random.Random(42)
+        for _ in range(25):
+            gens = [random_poly(R, rng) for _ in range(rng.randint(1, 3))]
+            gens = [g for g in gens if g] or [R.var_elem(0).payload]
+            G = reduce_basis(R, buchberger(R, gens))
+            for i in range(len(G)):
+                for j in range(i + 1, len(G)):
+                    s = s_polynomial(R, G[i], G[j])
+                    assert not normal_form(R, s, G), R.describe()
 
 
 def test_reduced_basis_is_generator_order_invariant():
-    rng = random.Random(7)
-    for _ in range(15):
-        gens = [random_poly(R2, rng) for _ in range(3)]
-        gens = [g for g in gens if g]
-        if not gens:
-            continue
-        a = reduce_basis(R2, buchberger(R2, gens))
-        shuffled = list(gens)
-        rng.shuffle(shuffled)
-        b = reduce_basis(R2, buchberger(R2, shuffled))
-        assert a == b
+    for R in INVARIANT_RINGS:
+        rng = random.Random(7)
+        for _ in range(15):
+            gens = [random_poly(R, rng) for _ in range(3)]
+            gens = [g for g in gens if g]
+            if not gens:
+                continue
+            a = reduce_basis(R, buchberger(R, gens))
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            b = reduce_basis(R, buchberger(R, shuffled))
+            assert a == b, R.describe()
+
+
+@pytest.mark.parametrize(
+    "names,gens,n,ticks,size",
+    [
+        (["x", "y", "z"], ["x", "y", "z"], 5, 990, 21),
+        (["x", "y"], ["x**2 + 3*y", "x*y"], 2, 48, 4),
+        (["x", "y"], ["x**2 + 3*y", "x*y"], 3, 74, 6),
+        (["x", "y"], ["x**2 + 3*y", "x*y"], 4, 182, 7),
+    ],
+    ids=["m^4*m", "J^1*J", "J^2*J", "J^3*J"],
+)
+def test_pair_order_is_pinned_by_tick_count(names, gens, n, ticks, size):
+    # Buchberger ticks once per pair taken and once per reduction step,
+    # so the count changes with the order in which pairs are taken; the
+    # product J^(n-1)*J is formed as Ideal.product forms it
+    R = poly_ring(QQ, names)
+    env = {name: R.var_elem(i) for i, name in enumerate(names)}
+    J = Ideal(R, [eval(g, {"__builtins__": {}}, env) for g in gens])
+    prods = [R.mul(a, b) for a in J.power(n - 1).normal_payloads for b in J.normal_payloads]
+    counter = StepCounter("buchberger")
+    basis = buchberger(R, prods, counter)
+    assert counter.count == ticks
+    assert len(basis) == size
 
 
 def test_membership_agrees_with_linear_oracle():
