@@ -1,38 +1,22 @@
 """Step budgets for potentially long-running kernels.
 
-The default limit is overridable through the THICKGEN_MAX_STEPS
-environment variable so stuck inputs fail loudly instead of hanging.
+Each kernel counts its work units against the fixed DEFAULT_MAX_STEPS,
+so stuck inputs fail loudly instead of hanging.
 """
-
-import os
 
 from .errors import StepBudgetExceededError
 
 DEFAULT_MAX_STEPS = 10**6
 
 
-def max_steps():
-    raw = os.environ.get("THICKGEN_MAX_STEPS")
-    if raw is None:
-        return DEFAULT_MAX_STEPS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"THICKGEN_MAX_STEPS must be an integer, got {raw!r}")
-    if value <= 0:
-        raise ValueError("THICKGEN_MAX_STEPS must be positive")
-    return value
-
-
 class StepCounter:
     """Counts work units and raises once the limit is passed."""
 
-    def __init__(self, label, limit=None):
+    def __init__(self, label):
         self.label = label
-        self.limit = max_steps() if limit is None else limit
         self.count = 0
 
     def tick(self, n=1):
         self.count += n
-        if self.count > self.limit:
-            raise StepBudgetExceededError(self.label, self.limit)
+        if self.count > DEFAULT_MAX_STEPS:
+            raise StepBudgetExceededError(self.label, DEFAULT_MAX_STEPS)

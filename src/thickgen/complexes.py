@@ -67,9 +67,6 @@ class FreeComplex:
     def is_zero_complex(self):
         return not self.ranks
 
-    def total_rank(self):
-        return sum(self.ranks.values())
-
     def lo(self):
         return min(self.ranks) if self.ranks else 0
 
@@ -100,12 +97,6 @@ class FreeComplex:
         sign = self.ring.from_int(-1 if k % 2 else 1)
         diffs = {n - k: d.scale(sign) for n, d in self.diffs.items()}
         return FreeComplex(self.ring, ranks, diffs)
-
-    def direct_sum(self, other):
-        return direct_sum([self, other])
-
-    def tensor(self, other):
-        return tensor(self, other)
 
 
 def zero_complex(ring):
@@ -245,10 +236,6 @@ class ChainMap:
     def identity(cls, X):
         return cls(X, X, {n: Matrix.identity(X.ring, X.rank(n)) for n in X.degrees()})
 
-    @classmethod
-    def zero(cls, src, dst):
-        return cls(src, dst, {})
-
     def compose(self, other):
         """self after other."""
         if other.dst != self.src:
@@ -387,43 +374,6 @@ def tensor(X, Y):
             grid.append(row)
         diffs[n] = Matrix.block(ring, grid)
     return FreeComplex(ring, ranks, diffs)
-
-
-def tensor_map(f, g):
-    """f (x) g on tensor complexes (no extra signs on components: the
-    Koszul sign would come from permuting g past f in each degree, and
-    component matrices here act block-diagonally)."""
-    if f.src.ring != g.src.ring:
-        raise RingMismatchError("tensor of maps over mixed rings")
-    ring = f.src.ring
-    TX = tensor(f.src, g.src)
-    TY = tensor(f.dst, g.dst)
-    comps = {}
-    for n in TX.degrees():
-        src_blocks = [
-            (p, n - p) for p in f.src.degrees() if f.src.rank(p) and g.src.rank(n - p)
-        ]
-        dst_blocks = [
-            (p, n - p) for p in f.dst.degrees() if f.dst.rank(p) and g.dst.rank(n - p)
-        ]
-        grid = []
-        for p2, q2 in dst_blocks:
-            row = []
-            for p, q in src_blocks:
-                if (p2, q2) == (p, q):
-                    row.append(f.comp(p).kron(g.comp(q)))
-                else:
-                    row.append(
-                        Matrix.zero(
-                            ring,
-                            f.dst.rank(p2) * g.dst.rank(q2),
-                            f.src.rank(p) * g.src.rank(q),
-                        )
-                    )
-            grid.append(row)
-        if dst_blocks and src_blocks:
-            comps[n] = Matrix.block(ring, grid)
-    return ChainMap(TX, TY, comps)
 
 
 def koszul(ideal):

@@ -642,17 +642,6 @@ def render_complex(X):
     return "{ " + " ; ".join(parts) + " }"
 
 
-def render_chain_map(f):
-    entries = [
-        f"c({n}) = {render_matrix(M)}"
-        for n, M in sorted(f.comps.items())
-        if not M.is_zero()
-    ]
-    if not entries:
-        return "{ }"
-    return "{ " + " ; ".join(entries) + " }"
-
-
 # ------------------------------------------------------------- dispatch
 
 

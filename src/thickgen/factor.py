@@ -18,6 +18,11 @@ INT_FACTOR_BOUND = 10**12
 
 
 def is_prime(n):
+    """Primality by trial division, refused past INT_FACTOR_BOUND."""
+    if n > INT_FACTOR_BOUND:
+        raise FactorizationIncompleteError(
+            f"{n} exceeds the primality bound {INT_FACTOR_BOUND}"
+        )
     if n < 2:
         return False
     if n < 4:

@@ -36,7 +36,7 @@ from .errors import (
     TierError,
     WitnessValidationError,
 )
-from .homology import ann_total_homology, closed_set, supph
+from .homology import ann_total_homology, supph
 from .ideals import Ideal
 from .matrices import Matrix
 from .rings import RingElem
@@ -424,18 +424,6 @@ def principal_power_witness(x, n):
         },
     )
     return BuildWitness(root=node, comparison=comparison), target
-
-
-def generator_for_closed(I):
-    """The Koszul complex on I, checked (over Tier-1 rings) to have
-    homological support exactly V(I)."""
-    K = koszul(I)
-    if I.ring.tier == 1:
-        want = closed_set(I)
-        have = supph(K)
-        if not (want.contains(have) and have.contains(want)):
-            raise EngineError("Koszul support disagrees with V(I)")
-    return K
 
 
 @dataclass

@@ -3,11 +3,13 @@ annihilators and homological support.
 
 Every Tier-1 ring is R = D/(mu) for a Euclidean cover ring D, with
 mu = 0 when R is D itself, and all the work happens in D on lifted
-matrices.  H^n = ker(d^n)/im(d^(n-1)) comes from a basis K of the
-kernel lattice, the relations [lift(d^(n-1)) | mu*I] written in K
-coordinates, and their Smith normal form.  For mu = 0 the lattice is
-the kernel of d^n; for mu != 0 it is the projection of
-ker[lift(d^n) | mu*I], which contains mu*I and so has full rank.
+matrices.  H^n = ker(d^n)/im(d^(n-1)) comes from the Hermite basis K
+of the kernel lattice, the relations [lift(d^(n-1)) | mu*I] written in
+K coordinates, and their Smith normal form: two Smith forms per degree,
+one in solve_exact and one for the invariants.  For mu = 0 the lattice
+is the kernel of d^n; for mu != 0 it is the projection of
+ker[lift(d^n) | mu*I], which contains mu*I and so has full rank.  Both
+bases come from Hermite forms, with no Smith form.
 Reading the invariant factors is the same for both: units vanish,
 factors associate to mu (zero when mu = 0) are free of rank one, and
 the rest are torsion.
@@ -20,11 +22,11 @@ sqrt((g)).
 
 from dataclasses import dataclass
 
-from .errors import TierError
+from .errors import EngineError, TierError
 from .ideals import Ideal
 from .matrices import Matrix
 from .rings import RingElem
-from .snf import kernel_basis, smith_normal_form, solve_exact
+from .snf import hermite_basis, kernel_basis, smith_normal_form, solve_exact
 from .spectrum import prime_factors
 
 
@@ -45,9 +47,6 @@ class FPModule:
 
     def is_zero(self):
         return self.free_rank == 0 and not self.factors
-
-    def factor_elems(self):
-        return tuple(RingElem(self.ring, f) for f in self.factors)
 
     def render(self):
         if self.is_zero():
@@ -132,20 +131,16 @@ def homology(X, n):
 
 
 def _kernel_lattice(cover, mu, A, rank_n):
-    """Column basis of the lattice L = {v in D^rank_n : A v in mu D^m},
+    """Hermite basis of the lattice L = {v in D^rank_n : A v in mu D^m},
     whose projection is the kernel of d^n over D/(mu).  L contains
     mu*I, so it has full rank."""
     m = A.nrows
     Aext = Matrix.hstack(cover, [A, Matrix.scalar(cover, mu, m)]) if m else A
     Kext = kernel_basis(Aext)
-    P = Kext.submatrix(range(rank_n), range(Kext.ncols))
-    psnf = smith_normal_form(P)
-    cols = []
-    for i, d in enumerate(psnf.diagonal):
-        if not cover.is_zero(d):
-            cols.append(psnf.Uinv.submatrix(range(rank_n), [i]).scale(d))
-    assert len(cols) == rank_n, "kernel lattice is not full rank"
-    return Matrix.hstack(cover, cols, nrows=rank_n)
+    L = hermite_basis(Kext.submatrix(range(rank_n), range(Kext.ncols)))
+    if L.ncols != rank_n:
+        raise EngineError("kernel lattice is not full rank")
+    return L
 
 
 def homology_all(X):
@@ -226,9 +221,6 @@ class SupportSet:
             ):
                 return False
         return True
-
-    def same_as(self, other):
-        return self.contains(other) and other.contains(self)
 
 
 def supph(X):

@@ -246,18 +246,6 @@ def m_mul(F, f, g, key):
     return m_canon(F, terms, key)
 
 
-def m_pow(F, f, k, key):
-    nvars = len(f[0][0]) if f else 0
-    result = m_const(F, nvars, F.one())
-    base = f
-    while k:
-        if k & 1:
-            result = m_mul(F, result, base, key)
-        base = m_mul(F, base, base, key)
-        k >>= 1
-    return result
-
-
 def m_lt(f):
     """Leading (exp, coeff); payload is sorted descending."""
     return f[0]

@@ -1,15 +1,19 @@
-"""Smith normal form over Euclidean domains, with invertible transforms.
+"""Smith and Hermite forms over Euclidean domains.
 
-smith_normal_form(A) returns U, Uinv, D, V, Vinv with
+smith_normal_form(A) returns unimodular U, V and D with
 
-    U @ A @ V == D,   U @ Uinv == I,   V @ Vinv == I,
+    U @ A @ V == D,
 
 D diagonal, each diagonal entry dividing the next, all entries
-canonical associates (nonnegative over Z, monic over k[x]).
+canonical associates (nonnegative over Z, monic over k[x]).  Pivot
+selection: smallest Euclidean norm in the working submatrix, lowest
+(row, col) on ties.
 
-Pivot selection: smallest Euclidean norm in the working submatrix,
-lowest (row, col) on ties.  Everything here stays inside a Euclidean
-domain; quotient rings are handled upstream by lifting.
+hermite_basis(A) is the canonical column-echelon basis of A's column
+lattice.  kernel_basis(A) reads a basis of ker(A) off the Hermite form
+of A stacked on the identity, with no Smith form; solve_exact goes
+through U and V.  Everything here stays inside a Euclidean domain;
+quotient rings are handled upstream by lifting.
 """
 
 from dataclasses import dataclass
@@ -23,8 +27,8 @@ from .rings import EuclideanRing
 class _Work:
     """Mutable matrix with row/col transform bookkeeping.
 
-    Row op L applied as M <- L @ M updates U <- L @ U, Uinv <- Uinv @ L^-1.
-    Col op P applied as M <- M @ P updates V <- V @ P, Vinv <- P^-1 @ Vinv.
+    Row op L applied as M <- L @ M updates U <- L @ U.
+    Col op P applied as M <- M @ P updates V <- V @ P.
     """
 
     def __init__(self, A):
@@ -33,17 +37,13 @@ class _Work:
         self.n = A.ncols
         self.M = A.to_lists()
         self.U = Matrix.identity(self.R, self.m).to_lists()
-        self.Uinv = Matrix.identity(self.R, self.m).to_lists()
         self.V = Matrix.identity(self.R, self.n).to_lists()
-        self.Vinv = Matrix.identity(self.R, self.n).to_lists()
 
     def row_swap(self, i, j):
         if i == j:
             return
         for X in (self.M, self.U):
             X[i], X[j] = X[j], X[i]
-        for row in self.Uinv:
-            row[i], row[j] = row[j], row[i]
 
     def col_swap(self, i, j):
         if i == j:
@@ -51,7 +51,6 @@ class _Work:
         for X in (self.M, self.V):
             for row in X:
                 row[i], row[j] = row[j], row[i]
-        self.Vinv[i], self.Vinv[j] = self.Vinv[j], self.Vinv[i]
 
     def row_axpy(self, i, j, q):
         """row_i -= q * row_j (i != j)."""
@@ -60,8 +59,6 @@ class _Work:
             ri, rj = X[i], X[j]
             for k in range(len(ri)):
                 ri[k] = R.sub(ri[k], R.mul(q, rj[k]))
-        for row in self.Uinv:
-            row[j] = R.add(row[j], R.mul(q, row[i]))
 
     def col_axpy(self, j, i, q):
         """col_j -= q * col_i (i != j)."""
@@ -69,26 +66,18 @@ class _Work:
         for X in (self.M, self.V):
             for row in X:
                 row[j] = R.sub(row[j], R.mul(q, row[i]))
-        ri, rj = self.Vinv[i], self.Vinv[j]
-        for k in range(len(ri)):
-            ri[k] = R.add(ri[k], R.mul(q, rj[k]))
 
     def row_scale(self, i, u):
         R = self.R
-        uinv = R.inv_unit(u)
         for X in (self.M, self.U):
             X[i] = [R.mul(u, x) for x in X[i]]
-        for row in self.Uinv:
-            row[i] = R.mul(row[i], uinv)
 
 
 @dataclass
 class SNFResult:
     U: Matrix
-    Uinv: Matrix
     D: Matrix
     V: Matrix
-    Vinv: Matrix
 
     @property
     def diagonal(self):
@@ -195,10 +184,8 @@ def smith_normal_form(A):
 
     return SNFResult(
         U=Matrix(R, w.U, m, m),
-        Uinv=Matrix(R, w.Uinv, m, m),
         D=Matrix(R, w.M, m, n),
         V=Matrix(R, w.V, n, n),
-        Vinv=Matrix(R, w.Vinv, n, n),
     )
 
 
@@ -211,9 +198,19 @@ def hermite_basis(A):
     basis entries near the size of the lattice data itself, where the
     raw transform columns out of smith_normal_form can be astronomically
     larger."""
-    R = A.ring
-    _require_euclidean(R)
+    _require_euclidean(A.ring)
     cols = [[A.entry(i, j) for i in range(A.nrows)] for j in range(A.ncols)]
+    fixed, _ = _hermite_columns(A.ring, A.nrows, cols)
+    return _from_columns(A.ring, A.nrows, fixed)
+
+
+def _from_columns(R, nrows, cols):
+    return Matrix(R, [[c[i] for c in cols] for i in range(nrows)], nrows, len(cols))
+
+
+def _hermite_columns(R, nrows, cols):
+    """(columns, pivot rows) of the Hermite form of the lattice the
+    columns span; reduces the nonzero ones in place."""
     cols = [c for c in cols if any(not R.is_zero(x) for x in c)]
 
     def axpy(dst, src, q):
@@ -222,7 +219,7 @@ def hermite_basis(A):
 
     fixed = []
     pivot_rows = []
-    for row in range(A.nrows):
+    for row in range(nrows):
         live = [c for c in cols if not R.is_zero(c[row])]
         if not live:
             continue
@@ -252,28 +249,25 @@ def hermite_basis(A):
             q, _ = R.euclid_divmod(fixed[j][pivot_rows[k]], fixed[k][pivot_rows[k]])
             if not R.is_zero(q):
                 axpy(fixed[j], fixed[k], q)
-    rows = [[fixed[j][i] for j in range(len(fixed))] for i in range(A.nrows)]
-    return Matrix(R, rows, A.nrows, len(fixed))
+    return fixed, pivot_rows
 
 
 def kernel_basis(A):
-    """Matrix whose columns generate ker(A) as a free direct summand."""
-    snf = smith_normal_form(A)
-    n = A.ncols
-    r = snf.rank
-    return hermite_basis(snf.V.submatrix(range(n), range(r, n)))
+    """Hermite basis of ker(A), a free direct summand of the column space.
 
-
-def image_basis(A):
-    """Matrix whose columns form a basis of the column span of A."""
-    snf = smith_normal_form(A)
+    Unimodular column operations turn [A ; I] into its Hermite form
+    [H ; T]; the columns of T whose pivots lie below A's rows generate
+    ker(A), and they are already the canonical Hermite basis of it."""
+    R = A.ring
+    _require_euclidean(R)
+    m, n = A.nrows, A.ncols
     cols = []
-    for i, d in enumerate(snf.diagonal):
-        if not A.ring.is_zero(d):
-            cols.append(snf.Uinv.submatrix(range(A.nrows), [i]).scale(d))
-    if not cols:
-        return Matrix(A.ring, [[] for _ in range(A.nrows)], A.nrows, 0)
-    return hermite_basis(Matrix.hstack(A.ring, cols, nrows=A.nrows))
+    for j in range(n):
+        unit = [R.zero()] * n
+        unit[j] = R.one()
+        cols.append([A.entry(i, j) for i in range(m)] + unit)
+    fixed, pivot_rows = _hermite_columns(R, m + n, cols)
+    return _from_columns(R, n, [c[m:] for c, p in zip(fixed, pivot_rows) if p >= m])
 
 
 def solve_exact(A, B):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import random
+import time
 
 import pytest
 
@@ -122,6 +123,49 @@ def test_integer_token_too_long_for_int_is_a_parse_error(script, line, col):
     assert err.getvalue() == (
         f"parse error: line {line}, col {col}: integer of 5000 digits is too long\n"
     )
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["Fp 1000000000039", "Fp 1000000000000000003", "poly Fp 1000000000000000003 [x]"],
+)
+def test_fp_modulus_past_the_primality_bound_is_a_parse_error(literal):
+    # trial division stops at the factorization bound 10^12 instead of
+    # running for minutes on an 18-digit prime
+    err = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code, text = run(f"ring R = {literal}\n", machine=True)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 1
+    assert text == ""
+    assert err.getvalue().startswith("parse error: line 1, col 10: ")
+    assert "exceeds the primality bound" in err.getvalue()
+
+
+def test_step_budget_ignores_the_environment(monkeypatch):
+    script = "ring R = Z\nideal I over R = (6)\nkoszul I as K\nhomology K\n"
+    plain = run(script, machine=True)
+    monkeypatch.setenv("THICKGEN_MAX_STEPS", "abc")
+    assert run(script, machine=True) == plain
+    assert plain[0] == 0
+
+
+@pytest.mark.parametrize(
+    "ring,gens,ann",
+    [
+        ("Zmod 100", "(55, 64, 54, 37, 68)", "(1)"),
+        ("Zmod 360", "(319, 131, 184, 354, 334)", "(1)"),
+        ("Z", "(54, 32, 60, 24, 60, 54)", "(2)"),
+    ],
+)
+def test_koszul_ann_with_large_kernel_lattices_is_fast(ring, gens, ann):
+    # each ran past 60 s when kernel bases came from Smith transforms
+    t0 = time.perf_counter()
+    code, text = run(f"ring R = {ring}\nideal I over R = {gens}\nkoszul I as K\nann K\n")
+    assert time.perf_counter() - t0 < 10.0
+    assert code == 0
+    assert f"ann: {ann}" in text.splitlines()
 
 
 def test_engine_error_exit_two_machine_emits_nothing():

@@ -1,5 +1,6 @@
 """Homology modules, annihilators, and homological support."""
 
+import importlib
 import random
 
 import pytest
@@ -172,3 +173,21 @@ def test_wide_quotient_cone_homology_terminates_quickly():
     t0 = time.monotonic()
     assert ann_total_homology(C).is_zero_ideal()
     assert time.monotonic() - t0 < 5.0
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=["Z", "Z/12"])
+def test_one_homology_degree_runs_two_smith_forms(ring, monkeypatch):
+    # the kernel and kernel-lattice bases come from Hermite forms; only
+    # solve_exact and the relations' invariants need a Smith form
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return smith_normal_form(A)
+
+    # the package re-exports a function named homology, so fetch the modules
+    for name in ("thickgen.snf", "thickgen.homology"):
+        monkeypatch.setattr(importlib.import_module(name), "smith_normal_form", counted)
+    H = homology(koszul(Ideal(ring, [2, 3])), -1)
+    assert H.is_zero()
+    assert len(calls) == 2
