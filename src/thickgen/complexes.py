@@ -132,13 +132,7 @@ def direct_sum(complexes):
     for n in ranks:
         if not ranks.get(n + 1, 0):
             continue
-        blocks = [c.diff(n) for c in complexes]
-        grid = [
-            [blocks[i] if i == j else None for j in range(len(blocks))]
-            for i in range(len(blocks))
-        ]
-        # zero-size blocks pin their own sizes, so the grid is determined
-        diffs[n] = Matrix.block(ring, grid)
+        diffs[n] = Matrix.direct_sum(ring, [c.diff(n) for c in complexes])
     return FreeComplex(ring, ranks, diffs)
 
 

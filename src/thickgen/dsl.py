@@ -414,32 +414,31 @@ class _Parser:
 
 
 def eval_expr(ast, ring):
-    env = _var_env(ring)
+    return _eval(ast, ring, _var_env(ring))
 
-    def go(node):
-        tag = node[0]
-        if tag == "int":
-            return ring.from_int(node[1])
-        if tag == "var":
-            name, tok = node[1], node[2]
-            if name not in env:
-                raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
-            return env[name]
-        if tag == "neg":
-            return ring.neg(go(node[1]))
-        if tag == "pow":
-            return ring.pow_(go(node[1]), node[2])
-        _, op, a, b = node
-        x, y = go(a), go(b)
-        if op == "+":
-            return ring.add(x, y)
-        if op == "-":
-            return ring.sub(x, y)
-        if op == "*":
-            return ring.mul(x, y)
-        return ring.exact_div(x, y)
 
-    return go(ast)
+def _eval(node, ring, env):
+    tag = node[0]
+    if tag == "int":
+        return ring.from_int(node[1])
+    if tag == "var":
+        name, tok = node[1], node[2]
+        if name not in env:
+            raise ParseError(f"unknown variable {name!r}", tok.line, tok.col)
+        return env[name]
+    if tag == "neg":
+        return ring.neg(_eval(node[1], ring, env))
+    if tag == "pow":
+        return ring.pow_(_eval(node[1], ring, env), node[2])
+    _, op, a, b = node
+    x, y = _eval(a, ring, env), _eval(b, ring, env)
+    if op == "+":
+        return ring.add(x, y)
+    if op == "-":
+        return ring.sub(x, y)
+    if op == "*":
+        return ring.mul(x, y)
+    return ring.exact_div(x, y)
 
 
 def _var_env(ring):
@@ -476,7 +475,7 @@ def _parse_statement(parser, session):
     if word == "ideal":
         name = parser.expect_name("ideal name").text
         _expect_keyword(parser, "over")
-        ring = _bound_ring(parser, session)
+        ring = _bound(parser, session, "ring")
         parser.expect_op("=")
         value = _literal(parser, lambda: parser.parse_ideal_literal(ring))
         session.bind(name, "ideal", value, tok.line)
@@ -484,7 +483,7 @@ def _parse_statement(parser, session):
     if word == "complex":
         name = parser.expect_name("complex name").text
         _expect_keyword(parser, "over")
-        ring = _bound_ring(parser, session)
+        ring = _bound(parser, session, "ring")
         parser.expect_op("=")
         value = _literal(parser, lambda: parser.parse_complex_literal(ring))
         session.bind(name, "complex", value, tok.line)
@@ -492,9 +491,9 @@ def _parse_statement(parser, session):
     if word == "map":
         name = parser.expect_name("map name").text
         parser.expect_op(":")
-        src = _bound_complex(parser, session)
+        src = _bound(parser, session, "complex")
         parser.expect_op("->")
-        dst = _bound_complex(parser, session)
+        dst = _bound(parser, session, "complex")
         parser.expect_op("=")
         value = _literal(parser, lambda: parser.parse_map_literal(src, dst))
         session.bind(name, "map", value, tok.line)
@@ -510,23 +509,14 @@ def _expect_keyword(parser, kw):
         parser.fail(f"expected {kw!r}, found {tok.text!r}", tok)
 
 
-def _bound_ring(parser, session):
-    tok = parser.expect_name("ring name")
+def _bound(parser, session, kind):
+    """The value bound to the next name, which must be a `kind`."""
+    tok = parser.expect_name(f"{kind} name")
     if tok.text not in session.bindings:
         parser.fail(f"unknown name {tok.text!r}", tok)
-    kind, value = session.bindings[tok.text]
-    if kind != "ring":
-        parser.fail(f"{tok.text!r} is bound to a {kind}, expected ring", tok)
-    return value
-
-
-def _bound_complex(parser, session):
-    tok = parser.expect_name("complex name")
-    if tok.text not in session.bindings:
-        parser.fail(f"unknown name {tok.text!r}", tok)
-    kind, value = session.bindings[tok.text]
-    if kind != "complex":
-        parser.fail(f"{tok.text!r} is bound to a {kind}, expected complex", tok)
+    bound_kind, value = session.bindings[tok.text]
+    if bound_kind != kind:
+        parser.fail(f"{tok.text!r} is bound to a {bound_kind}, expected {kind}", tok)
     return value
 
 
@@ -599,21 +589,13 @@ def render_ring(ring):
     if k == "Fp":
         return f"Fp {ring.p}"
     if k == "poly1":
-        return f"poly {_coeff_name(ring.F)} [{ring.var}]"
+        return f"poly {ring.F.describe()} [{ring.var}]"
     if k == "polyquot":
         mod = ring.cover_ring.render(ring.modulus)
-        return f"polyquot {_coeff_name(ring.F)} [{ring.var}] ({mod})"
+        return f"polyquot {ring.F.describe()} [{ring.var}] ({mod})"
     if k == "polym":
-        return f"poly {_coeff_name(ring.F)} [{','.join(ring.vars)}] {ring.order}"
+        return f"poly {ring.F.describe()} [{','.join(ring.vars)}] {ring.order}"
     raise EngineError(f"no literal form for ring kind {k!r}")
-
-
-def _coeff_name(F):
-    if F.kind == "Q":
-        return "Q"
-    if F.kind == "Fp":
-        return f"F{F.p}"
-    raise EngineError("coefficient fields are Q or Fp")
 
 
 def render_matrix(M):

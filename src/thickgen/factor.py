@@ -8,6 +8,7 @@ linear factors exactly and certifies irreducibility up to degree 3,
 reporting complete=False when a degree >= 4 remainder survives.
 """
 
+import itertools
 import math
 
 from . import polys
@@ -99,16 +100,19 @@ def uni_squarefree(F, f):
     """
     p = F.p if F.kind == "Fp" else 0
     result = {}
-
-    def run(f, scale):
+    # (polynomial, multiplier) pairs still to split; a p-th root found
+    # along the way goes back on the list with its multiplier times p
+    todo = [(f, 1)]
+    while todo:
+        f, scale = todo.pop()
         df = polys.uni_derivative(F, f)
         if not df:
             if p == 0:
                 if polys.uni_deg(f) > 0:
                     raise ValueError("vanishing derivative in characteristic zero")
-                return
-            run(uni_pth_root(F, f, p), scale * p)
-            return
+                continue
+            todo.append((uni_pth_root(F, f, p), scale * p))
+            continue
         c = polys.uni_gcd(F, f, df)
         w = polys.uni_divmod(F, f, c)[0]
         i = 1
@@ -123,24 +127,15 @@ def uni_squarefree(F, f):
         if polys.uni_deg(c) > 0:
             if p == 0:
                 raise ValueError("unexpected residual in characteristic zero")
-            run(uni_pth_root(F, c, p), scale * p)
-
-    run(f, 1)
+            todo.append((uni_pth_root(F, c, p), scale * p))
     return sorted(result.items(), key=lambda t: (t[1], polys.uni_deg(t[0]), t[0]))
 
 
 def _monic_polys_of_degree(F, d):
     """All monic degree-d polynomials over a finite prime field, in a
     deterministic order."""
-
-    def rec(i, prefix):
-        if i == d:
-            yield polys.uni_trim(list(prefix) + [F.one()], F)
-            return
-        for c in F.elements():
-            yield from rec(i + 1, prefix + [c])
-
-    yield from rec(0, [])
+    for low in itertools.product(F.elements(), repeat=d):
+        yield polys.uni_trim(list(low) + [F.one()], F)
 
 
 def _factor_squarefree_fp(F, g, counter):

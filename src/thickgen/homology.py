@@ -5,11 +5,11 @@ Every Tier-1 ring is R = D/(mu) for a Euclidean cover ring D, with
 mu = 0 when R is D itself, and all the work happens in D on lifted
 matrices.  H^n = ker(d^n)/im(d^(n-1)) comes from the Hermite basis K
 of the kernel lattice, the relations [lift(d^(n-1)) | mu*I] written in
-K coordinates, and their Smith normal form: two Smith forms per degree,
-one in solve_exact and one for the invariants.  For mu = 0 the lattice
-is the kernel of d^n; for mu != 0 it is the projection of
-ker[lift(d^n) | mu*I], which contains mu*I and so has full rank.  Both
-bases come from Hermite forms, with no Smith form.
+K coordinates, and their Smith normal form: one Smith form per degree,
+for the invariants.  For mu = 0 the lattice is the kernel of d^n; for
+mu != 0 it is the projection of ker[lift(d^n) | mu*I], which contains
+mu*I and so has full rank.  Both bases, and the relations in K
+coordinates (solve_exact), come from Hermite forms, with no Smith form.
 Reading the invariant factors is the same for both: units vanish,
 factors associate to mu (zero when mu = 0) are free of rank one, and
 the rest are torsion.

@@ -10,10 +10,12 @@ selection: smallest Euclidean norm in the working submatrix, lowest
 (row, col) on ties.
 
 hermite_basis(A) is the canonical column-echelon basis of A's column
-lattice.  kernel_basis(A) reads a basis of ker(A) off the Hermite form
-of A stacked on the identity, with no Smith form; solve_exact goes
-through U and V.  Everything here stays inside a Euclidean domain;
-quotient rings are handled upstream by lifting.
+lattice.  kernel_basis(A) and solve_exact(A, B) both read the Hermite
+form of A stacked on the identity, with no Smith form: the kernel is
+its block of columns whose pivots lie below A's rows, and a solution
+comes from dividing by the pivots of the others.  Everything here stays
+inside a Euclidean domain; quotient rings are handled upstream by
+lifting.
 """
 
 from dataclasses import dataclass
@@ -84,11 +86,6 @@ class SNFResult:
         """All min(m, n) diagonal payloads of D, zeros included."""
         k = min(self.D.nrows, self.D.ncols)
         return [self.D.entry(i, i) for i in range(k)]
-
-    @property
-    def rank(self):
-        R = self.D.ring
-        return sum(1 for x in self.diagonal if not R.is_zero(x))
 
     @property
     def invariants(self):
@@ -208,15 +205,18 @@ def _from_columns(R, nrows, cols):
     return Matrix(R, [[c[i] for c in cols] for i in range(nrows)], nrows, len(cols))
 
 
+def _axpy(R, dst, src, q):
+    """dst -= q * src, entrywise and in place."""
+    for i in range(len(dst)):
+        dst[i] = R.sub(dst[i], R.mul(q, src[i]))
+
+
 def _hermite_columns(R, nrows, cols):
     """(columns, pivot rows) of the Hermite form of the lattice the
-    columns span; reduces the nonzero ones in place."""
+    columns span; reduces the nonzero ones in place.  The columns come
+    out in pivot-row order, each zero above its pivot row."""
     cols = [c for c in cols if any(not R.is_zero(x) for x in c)]
-
-    def axpy(dst, src, q):
-        for i in range(len(dst)):
-            dst[i] = R.sub(dst[i], R.mul(q, src[i]))
-
+    counter = StepCounter("hermite")
     fixed = []
     pivot_rows = []
     for row in range(nrows):
@@ -225,13 +225,14 @@ def _hermite_columns(R, nrows, cols):
             continue
         # gcd cascade: shrink entries at `row` until one column remains
         while len(live) > 1:
+            counter.tick()
             live.sort(key=lambda c: R.euclid_norm(c[row]))
             p = live[0]
             rest = []
             for c in live[1:]:
                 q, r = R.euclid_divmod(c[row], p[row])
                 if not R.is_zero(q):
-                    axpy(c, p, q)
+                    _axpy(R, c, p, q)
                 if not R.is_zero(c[row]):
                     rest.append(c)
             live = [p] + rest
@@ -248,16 +249,14 @@ def _hermite_columns(R, nrows, cols):
         for j in range(k):
             q, _ = R.euclid_divmod(fixed[j][pivot_rows[k]], fixed[k][pivot_rows[k]])
             if not R.is_zero(q):
-                axpy(fixed[j], fixed[k], q)
+                _axpy(R, fixed[j], fixed[k], q)
     return fixed, pivot_rows
 
 
-def kernel_basis(A):
-    """Hermite basis of ker(A), a free direct summand of the column space.
-
-    Unimodular column operations turn [A ; I] into its Hermite form
-    [H ; T]; the columns of T whose pivots lie below A's rows generate
-    ker(A), and they are already the canonical Hermite basis of it."""
+def _stacked_hermite(A):
+    """(columns, pivot rows) of the Hermite form [H ; T] of A stacked on
+    the identity.  Column operations keep [A ; I] @ V = [H ; T], so
+    T = V is unimodular and A @ T = H."""
     R = A.ring
     _require_euclidean(R)
     m, n = A.nrows, A.ncols
@@ -266,34 +265,47 @@ def kernel_basis(A):
         unit = [R.zero()] * n
         unit[j] = R.one()
         cols.append([A.entry(i, j) for i in range(m)] + unit)
-    fixed, pivot_rows = _hermite_columns(R, m + n, cols)
-    return _from_columns(R, n, [c[m:] for c, p in zip(fixed, pivot_rows) if p >= m])
+    return _hermite_columns(R, m + n, cols)
+
+
+def kernel_basis(A):
+    """Hermite basis of ker(A), a free direct summand of the column space.
+
+    The columns of [H ; T] whose pivots lie below A's rows have H = 0,
+    so their T blocks generate ker(A), and they are already the
+    canonical Hermite basis of it."""
+    m = A.nrows
+    fixed, pivot_rows = _stacked_hermite(A)
+    return _from_columns(A.ring, A.ncols, [c[m:] for c, p in zip(fixed, pivot_rows) if p >= m])
 
 
 def solve_exact(A, B):
-    """Solve A @ X = B exactly; raises NoSolutionError when impossible."""
-    R = A.ring
-    _require_euclidean(R)
+    """Solve A @ X = B exactly; raises NoSolutionError when impossible.
+
+    Each column b of B is divided by the columns [h ; t] of [H ; T] whose
+    pivots p lie in A's rows, in pivot-row order: subtract q * [h ; t]
+    from [b ; 0] with q = b[p] / h[p].  A column is zero above its
+    pivot row, so b is cleared exactly when it lies in the column span
+    of A, and what is left is [0 ; -x] with A @ x = b.  When A has full
+    column rank, x is the only solution."""
     if B.nrows != A.nrows:
         raise ValueError("right-hand side row count mismatch")
-    snf = smith_normal_form(A)
-    C = snf.U @ B
-    diag = snf.diagonal
-    r = snf.rank
-    rows = []
-    for i in range(A.ncols):
-        row = []
-        for j in range(B.ncols):
-            if i < r:
-                try:
-                    row.append(R.exact_div(C.entry(i, j), diag[i]))
-                except NotDivisibleError:
-                    raise NoSolutionError("system has no exact solution")
-            else:
-                row.append(R.zero())
-        rows.append(row)
-    for i in range(r, A.nrows):
-        for j in range(B.ncols):
-            if not R.is_zero(C.entry(i, j)):
+    R = A.ring
+    fixed, pivot_rows = _stacked_hermite(A)
+    m = A.nrows
+    image = [(c, p) for c, p in zip(fixed, pivot_rows) if p < m]
+    xs = []
+    for j in range(B.ncols):
+        v = [B.entry(i, j) for i in range(m)] + [R.zero()] * A.ncols
+        for c, p in image:
+            if R.is_zero(v[p]):
+                continue
+            try:
+                q = R.exact_div(v[p], c[p])
+            except NotDivisibleError:
                 raise NoSolutionError("system has no exact solution")
-    return snf.V @ Matrix(R, rows, A.ncols, B.ncols)
+            _axpy(R, v, c, q)
+        if any(not R.is_zero(x) for x in v[:m]):
+            raise NoSolutionError("system has no exact solution")
+        xs.append([R.neg(x) for x in v[m:]])
+    return _from_columns(R, A.ncols, xs)

@@ -1,6 +1,7 @@
 """Script parsing, report rendering, exit codes, output determinism."""
 
 import contextlib
+import gc
 import io
 import random
 import time
@@ -201,6 +202,29 @@ def test_machine_output_is_byte_deterministic():
     )
     runs = {run(script, machine=True)[1] for _ in range(2)}
     assert len(runs) == 1
+
+
+def test_script_leaves_no_cyclic_garbage():
+    # expression evaluation, squarefree splitting and the trial-division
+    # enumeration behind `spec` build no self-referencing closures, so
+    # reference counting frees everything a script allocates
+    script = (
+        "ring A = polyquot F5 [t] (t^7 + 2*t^5 + t^2 + 2)\n"
+        "ideal I over A = (t^2 + 3*t, t + 4)\n"
+        "koszul I as K\n"
+        "homology K\n"
+        "spec A\n"
+    )
+    assert run(script, machine=True)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        code, text = run(script, machine=True)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert code == 0 and "points: (t + 1) ; (t^2 + 2)" in text
+    assert garbage == 0
 
 
 def test_witness_roundtrip_through_bindings():

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import int_det, minor_gcd_invariants, rat_rank
-from thickgen import snf
-from thickgen.errors import NoSolutionError
+from thickgen import budget, snf
+from thickgen.errors import NoSolutionError, StepBudgetExceededError
 from thickgen.matrices import Matrix
-from thickgen.rings import QQ, ZZ, poly_ring
+from thickgen.rings import GF, QQ, ZZ, poly_ring
 from thickgen.snf import hermite_basis, kernel_basis, smith_normal_form, solve_exact
 
 
@@ -101,14 +101,30 @@ def test_kernel_basis_is_saturated(seed):
     assert all(d == 1 for d in smith_normal_form(K).invariants)
 
 
-def test_kernel_basis_runs_no_smith_form(monkeypatch):
+@pytest.mark.parametrize("solver", ["kernel_basis", "solve_exact"])
+def test_kernel_basis_runs_no_smith_form(solver, monkeypatch):
     def refuse(A):
-        raise AssertionError("kernel_basis called smith_normal_form")
+        raise AssertionError(f"{solver} called smith_normal_form")
 
     monkeypatch.setattr(snf, "smith_normal_form", refuse)
     A = int_matrix([[2, 4, 6], [1, 2, 3], [0, 5, 7]])
-    K = kernel_basis(A)
-    assert (A @ K).is_zero() and K.ncols == 1
+    if solver == "kernel_basis":
+        K = kernel_basis(A)
+        assert (A @ K).is_zero() and K.ncols == 1
+    else:
+        B = int_matrix([[6, 2], [3, 1], [12, 5]])
+        assert A @ solve_exact(A, B) == B
+
+
+@pytest.mark.parametrize("solver", [kernel_basis, hermite_basis, solve_exact])
+def test_hermite_forms_run_under_the_step_budget(solver, monkeypatch):
+    # the gcd cascade ticks its own counter, so it cannot run unbounded
+    monkeypatch.setattr(budget, "DEFAULT_MAX_STEPS", 2)
+    rng = random.Random(57)
+    A = int_matrix([[rng.randint(-50, 50) for _ in range(6)] for _ in range(4)])
+    args = (A, int_matrix([[1]] * 4)) if solver is solve_exact else (A,)
+    with pytest.raises(StepBudgetExceededError):
+        solver(*args)
 
 
 def test_image_basis_generates_columns():
@@ -126,6 +142,27 @@ def test_solve_exact_finds_and_refuses():
     assert A @ X == B
     with pytest.raises(NoSolutionError):
         solve_exact(int_matrix([[2]]), int_matrix([[3]]))
+    # solvable over Q (x = (3/2, 0)) but not over Z: gcd(2, 4) = 2 does not divide 3
+    with pytest.raises(NoSolutionError):
+        solve_exact(int_matrix([[2, 4]]), int_matrix([[3]]))
+    # rank deficient: the second row is twice the first, B lies in the image
+    A = int_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    B = int_matrix([[6, 1], [12, 2], [2, 0]])
+    assert A @ solve_exact(A, B) == B
+    # same A, B off the image: row 2 is not twice row 1
+    with pytest.raises(NoSolutionError):
+        solve_exact(A, int_matrix([[6], [11], [2]]))
+    for field in (QQ, GF(5)):
+        R = poly_ring(field, ["x"])
+        x = R.var_elem().payload
+        one = R.one()
+        # A has full rank, so X is the only solution
+        A = Matrix(R, [[x, one], [R.zero(), R.add(x, one)]], 2, 2)
+        X = Matrix(R, [[one, x], [x, one]], 2, 2)
+        assert solve_exact(A, A @ X) == X
+        # every entry of [x, x^2] @ X is divisible by x, and 1 is not
+        with pytest.raises(NoSolutionError):
+            solve_exact(Matrix(R, [[x, R.mul(x, x)]], 1, 2), Matrix(R, [[one]], 1, 1))
 
 
 def test_snf_over_polynomials():
