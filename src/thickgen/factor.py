@@ -67,16 +67,6 @@ def factor_integer(n, bound=INT_FACTOR_BOUND):
     return out
 
 
-def is_prime_power(n):
-    """(p, e) when n = p^e with e >= 1, else None."""
-    if n < 2:
-        return None
-    pairs = factor_integer(n)
-    if len(pairs) == 1:
-        return pairs[0]
-    return None
-
-
 # ------------------------------------------------------- univariate polys
 
 

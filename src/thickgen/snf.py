@@ -1,13 +1,33 @@
 """Smith and Hermite forms over Euclidean domains.
 
+All elimination runs in one kernel, _hermite_columns: the reduced
+column Hermite form of a list of vectors, under the "hermite" step
+budget.
+
 smith_normal_form(A) returns unimodular U, V and D with
 
     U @ A @ V == D,
 
-D diagonal, each diagonal entry dividing the next, all entries
-canonical associates (nonnegative over Z, monic over k[x]).  Pivot
-selection: smallest Euclidean norm in the working submatrix, lowest
-(row, col) on ties.
+D diagonal, each diagonal entry dividing the next, zeros last, all
+entries canonical associates (nonnegative over Z, monic over k[x]).
+It alternates Hermite passes (Kannan and Bachem, SIAM J. Comput. 8,
+1979): a column pass takes the column Hermite form of M stacked on V,
+a row pass that of M's rows joined to U's rows.  M is tested for
+Smith form before each pass, so an input already in it runs none.
+When M is diagonal but d_t does not divide d_(t+1), row t + 1 is
+added to row t, and the next column pass puts gcd(d_t, d_(t+1)) at
+(t, t).
+
+The passes end.  A column pass leaves the gcd of the first row of the
+unsettled block at its corner, and a row pass the gcd of its first
+column, so the norm of that first pivot never grows.  A pass that
+keeps it finds the pivot's row (or column) already cleared by the pass
+before and clears its column (or row), so the pivot is settled: no
+later pass touches it, and the block shrinks.  A fold strictly lowers
+the norm of pivot t, since the gcd is a proper divisor, and leaves the
+settled pivots before it alone.  Norms are nonnegative integers, so
+this can happen only finitely often.  Every pass is reduced, which in
+practice keeps the entries of U and V near the size of A's minors.
 
 hermite_basis(A) is the canonical column-echelon basis of A's column
 lattice.  kernel_basis(A) and solve_exact(A, B) both read the Hermite
@@ -24,55 +44,6 @@ from .budget import StepCounter
 from .errors import NoSolutionError, NotDivisibleError, TierError
 from .matrices import Matrix
 from .rings import EuclideanRing
-
-
-class _Work:
-    """Mutable matrix with row/col transform bookkeeping.
-
-    Row op L applied as M <- L @ M updates U <- L @ U.
-    Col op P applied as M <- M @ P updates V <- V @ P.
-    """
-
-    def __init__(self, A):
-        self.R = A.ring
-        self.m = A.nrows
-        self.n = A.ncols
-        self.M = A.to_lists()
-        self.U = Matrix.identity(self.R, self.m).to_lists()
-        self.V = Matrix.identity(self.R, self.n).to_lists()
-
-    def row_swap(self, i, j):
-        if i == j:
-            return
-        for X in (self.M, self.U):
-            X[i], X[j] = X[j], X[i]
-
-    def col_swap(self, i, j):
-        if i == j:
-            return
-        for X in (self.M, self.V):
-            for row in X:
-                row[i], row[j] = row[j], row[i]
-
-    def row_axpy(self, i, j, q):
-        """row_i -= q * row_j (i != j)."""
-        R = self.R
-        for X in (self.M, self.U):
-            ri, rj = X[i], X[j]
-            for k in range(len(ri)):
-                ri[k] = R.sub(ri[k], R.mul(q, rj[k]))
-
-    def col_axpy(self, j, i, q):
-        """col_j -= q * col_i (i != j)."""
-        R = self.R
-        for X in (self.M, self.V):
-            for row in X:
-                row[j] = R.sub(row[j], R.mul(q, row[i]))
-
-    def row_scale(self, i, u):
-        R = self.R
-        for X in (self.M, self.U):
-            X[i] = [R.mul(u, x) for x in X[i]]
 
 
 @dataclass
@@ -104,86 +75,55 @@ def _require_euclidean(ring):
 def smith_normal_form(A):
     R = A.ring
     _require_euclidean(R)
-    w = _Work(A)
-    m, n = w.m, w.n
+    m, n = A.nrows, A.ncols
+    M = A.to_lists()
+    U = Matrix.identity(R, m).to_lists()
+    V = Matrix.identity(R, n).to_lists()
     counter = StepCounter("smith_normal_form")
-    t = 0
-    while t < min(m, n):
-        best = None
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = w.M[i][j]
-                if not R.is_zero(x):
-                    nrm = R.euclid_norm(x)
-                    if best is None or nrm < best:
-                        best, pivot = nrm, (i, j)
-        if pivot is None:
-            break
-        w.row_swap(t, pivot[0])
-        w.col_swap(t, pivot[1])
-
-        while True:
-            counter.tick()
-            # clear column t below the pivot
-            progressed = True
-            while progressed:
-                progressed = False
-                for i in range(t + 1, m):
-                    if R.is_zero(w.M[i][t]):
-                        continue
-                    q, r = R.euclid_divmod(w.M[i][t], w.M[t][t])
-                    if not R.is_zero(q):
-                        w.row_axpy(i, t, q)
-                    if not R.is_zero(w.M[i][t]):
-                        # remainder beats the pivot; promote it
-                        w.row_swap(t, i)
-                        progressed = True
-                counter.tick()
-            # clear row t right of the pivot (column ops keep col t clean)
-            row_dirty = False
-            progressed = True
-            while progressed:
-                progressed = False
-                for j in range(t + 1, n):
-                    if R.is_zero(w.M[t][j]):
-                        continue
-                    q, r = R.euclid_divmod(w.M[t][j], w.M[t][t])
-                    if not R.is_zero(q):
-                        w.col_axpy(j, t, q)
-                    if not R.is_zero(w.M[t][j]):
-                        w.col_swap(t, j)
-                        progressed = True
-                        row_dirty = True
-                counter.tick()
-            if row_dirty and any(
-                not R.is_zero(w.M[i][t]) for i in range(t + 1, m)
-            ):
-                continue
-            # pivot now alone in its row and column; enforce divisibility
-            p = w.M[t][t]
-            violation = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if not R.is_zero(R.euclid_divmod(w.M[i][j], p)[1]):
-                        violation = i
-                        break
-                if violation is not None:
-                    break
-            if violation is None:
+    by_columns = True
+    while True:
+        if _is_canonical_diagonal(R, M):
+            d = [M[i][i] for i in range(min(m, n))]
+            t = next((t for t in range(len(d) - 1) if not _divides(R, d[t], d[t + 1])), None)
+            if t is None:
                 break
-            # fold the offending row into row t and keep reducing
-            w.row_axpy(t, violation, R.neg(R.one()))
-        c, u = R.canonical_associate(w.M[t][t])
-        if not R.is_one(u):
-            w.row_scale(t, u)
-        t += 1
+            # fold; the column pass puts gcd(d_t, d_(t+1)) at (t, t)
+            for X in (M, U):
+                X[t] = [R.add(a, b) for a, b in zip(X[t], X[t + 1])]
+            by_columns = True
+        counter.tick()
+        if by_columns:
+            MT, VT = _hermite_rows(R, _transpose(M), _transpose(V))
+            M, V = _transpose(MT), _transpose(VT)
+        else:
+            M, U = _hermite_rows(R, M, U)
+        by_columns = not by_columns
+    return SNFResult(U=Matrix(R, U, m, m), D=Matrix(R, M, m, n), V=Matrix(R, V, n, n))
 
-    return SNFResult(
-        U=Matrix(R, w.U, m, m),
-        D=Matrix(R, w.M, m, n),
-        V=Matrix(R, w.V, n, n),
-    )
+
+def _is_canonical_diagonal(R, M):
+    """M is diagonal, and each diagonal entry is zero or canonical."""
+    for i, row in enumerate(M):
+        for j, x in enumerate(row):
+            if not R.is_zero(x) and (i != j or not R.is_one(R.canonical_associate(x)[1])):
+                return False
+    return True
+
+
+def _divides(R, a, b):
+    return R.is_zero(b) or (not R.is_zero(a) and R.is_zero(R.euclid_divmod(b, a)[1]))
+
+
+def _transpose(X):
+    return [list(col) for col in zip(*X)]
+
+
+def _hermite_rows(R, X, T):
+    """(X', T'): the Hermite form of the rows of [X | T], split back into
+    its X and T blocks.  Row operations only, rows in pivot order."""
+    k = len(X[0])
+    fixed, _ = _hermite_columns(R, k + len(T[0]), [x + t for x, t in zip(X, T)])
+    return [f[:k] for f in fixed], [f[k:] for f in fixed]
 
 
 def hermite_basis(A):
@@ -192,9 +132,7 @@ def hermite_basis(A):
     Unimodular column operations only, so the span is unchanged; the
     result has one pivot per nonzero row step, canonical pivots, and
     entries left of each pivot reduced mod that pivot.  This keeps
-    basis entries near the size of the lattice data itself, where the
-    raw transform columns out of smith_normal_form can be astronomically
-    larger."""
+    basis entries near the size of the lattice data itself."""
     _require_euclidean(A.ring)
     cols = [[A.entry(i, j) for i in range(A.nrows)] for j in range(A.ncols)]
     fixed, _ = _hermite_columns(A.ring, A.nrows, cols)
@@ -205,10 +143,11 @@ def _from_columns(R, nrows, cols):
     return Matrix(R, [[c[i] for c in cols] for i in range(nrows)], nrows, len(cols))
 
 
-def _axpy(R, dst, src, q):
-    """dst -= q * src, entrywise and in place."""
-    for i in range(len(dst)):
-        dst[i] = R.sub(dst[i], R.mul(q, src[i]))
+def _axpy(R, dst, src, q, start):
+    """dst -= q * src, entrywise and in place; src is zero before start."""
+    nq = R.neg(q)
+    for i in range(start, len(dst)):
+        dst[i] = R.add(dst[i], R.mul(nq, src[i]))
 
 
 def _hermite_columns(R, nrows, cols):
@@ -220,6 +159,8 @@ def _hermite_columns(R, nrows, cols):
     fixed = []
     pivot_rows = []
     for row in range(nrows):
+        if not cols:
+            break
         live = [c for c in cols if not R.is_zero(c[row])]
         if not live:
             continue
@@ -232,7 +173,7 @@ def _hermite_columns(R, nrows, cols):
             for c in live[1:]:
                 q, r = R.euclid_divmod(c[row], p[row])
                 if not R.is_zero(q):
-                    _axpy(R, c, p, q)
+                    _axpy(R, c, p, q, row)
                 if not R.is_zero(c[row]):
                     rest.append(c)
             live = [p] + rest
@@ -249,7 +190,7 @@ def _hermite_columns(R, nrows, cols):
         for j in range(k):
             q, _ = R.euclid_divmod(fixed[j][pivot_rows[k]], fixed[k][pivot_rows[k]])
             if not R.is_zero(q):
-                _axpy(R, fixed[j], fixed[k], q)
+                _axpy(R, fixed[j], fixed[k], q, pivot_rows[k])
     return fixed, pivot_rows
 
 
@@ -304,7 +245,7 @@ def solve_exact(A, B):
                 q = R.exact_div(v[p], c[p])
             except NotDivisibleError:
                 raise NoSolutionError("system has no exact solution")
-            _axpy(R, v, c, q)
+            _axpy(R, v, c, q, p)
         if any(not R.is_zero(x) for x in v[:m]):
             raise NoSolutionError("system has no exact solution")
         xs.append([R.neg(x) for x in v[m:]])

@@ -10,7 +10,6 @@ from thickgen.factor import (
     factor_integer,
     factor_unipoly,
     is_prime,
-    is_prime_power,
     uni_squarefree,
 )
 from thickgen.polys import uni_mul, uni_pow, uni_scale, uni_trim
@@ -27,14 +26,6 @@ def test_is_prime_matches_oracle(n):
 @settings(max_examples=150, deadline=None)
 def test_factor_integer_matches_oracle(n):
     assert factor_integer(n) == factor_int(n)
-
-
-@pytest.mark.parametrize(
-    "n,expect",
-    [(2, True), (4, True), (27, True), (64, True), (1, False), (12, False), (36, False)],
-)
-def test_is_prime_power(n, expect):
-    assert (is_prime_power(n) is not None) == expect
 
 
 def test_factor_integer_rejects_huge_primes():

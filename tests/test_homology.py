@@ -2,10 +2,11 @@
 
 import importlib
 import random
+import zlib
 
 import pytest
 
-from thickgen.complexes import ChainMap, FreeComplex, cone, koszul, two_term
+from thickgen.complexes import ChainMap, FreeComplex, cone, koszul, random_chain_map, two_term
 from thickgen.errors import TierError
 from thickgen.homology import (
     ann_total_homology,
@@ -17,7 +18,8 @@ from thickgen.homology import (
 )
 from thickgen.ideals import Ideal
 from thickgen.matrices import Matrix
-from thickgen.rings import QQ, ZZ, Zmod, poly_ring
+from thickgen.polys import uni_deg
+from thickgen.rings import QQ, ZZ, UniQuotRing, Zmod, poly_ring
 from thickgen.snf import smith_normal_form
 
 from oracles import TWO_TERM_H0, minor_gcd_invariants
@@ -163,8 +165,6 @@ def test_wide_quotient_cone_homology_terminates_quickly():
     # seed replays a cone over Z/12 whose kernel lattice once exploded
     import time
 
-    from thickgen.complexes import cone, random_chain_map
-
     rng = random.Random(102)
     R = Zmod(12)
     for _ in range(24):
@@ -191,3 +191,23 @@ def test_one_homology_degree_runs_one_smith_form(ring, monkeypatch):
     H = homology(koszul(Ideal(ring, [2, 3])), -1)
     assert H.is_zero()
     assert len(calls) == 1
+
+
+def test_quotient_polynomial_cone_homology_matches_euler_characteristic():
+    # over Q[t]/(t^6 + 1) the Smith form of this cone's H^-1 once ran
+    # for over a minute on matrices of rank at most 3, with Fraction
+    # coefficients growing in unreduced transforms
+    R = UniQuotRing(QQ, "t", tuple(QQ.from_int(c) for c in (1, 0, 0, 0, 0, 0, 1)))
+    rng = random.Random(zlib.crc32(b"Q[t]/(t^6 + 1)"))
+    for _ in range(3):
+        f = random_chain_map(R, rng)
+    C = cone(f)
+    # over Q, R has dimension deg(t^6 + 1) and R/(g) has dimension deg g
+    deg = uni_deg(R.modulus)
+    chi_h = chi_c = 0
+    for n in C.degrees():
+        H = homology(C, n)
+        sign = 1 if n % 2 == 0 else -1
+        chi_h += sign * (deg * H.free_rank + sum(uni_deg(R.lift(g)) for g in H.factors))
+        chi_c += sign * deg * C.rank(n)
+    assert chi_h == chi_c

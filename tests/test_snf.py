@@ -1,6 +1,7 @@
 """Smith normal form: transform correctness, divisibility, and the
 minors-gcd oracle for invariant factors."""
 
+import math
 import random
 
 import pytest
@@ -63,6 +64,38 @@ def test_transforms_are_unimodular(seed):
     assert abs(int_det(res.V.to_lists())) == 1
 
 
+def random_square(n):
+    rng = random.Random(n)
+    return [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_large_integer_smith_forms_keep_transforms_small(n):
+    # a pivot-search Smith form did not finish a 12x12 in 300 s, and its
+    # transform entries reached 65k bits at 10x10
+    rows = random_square(n)
+    A = int_matrix(rows)
+    res = smith_normal_form(A)
+    assert res.U @ A @ res.V == res.D
+    assert abs(int_det(res.U.to_lists())) == 1
+    assert abs(int_det(res.V.to_lists())) == 1
+    det = int_det(rows)
+    if det:
+        assert math.prod(res.invariants) == abs(det)
+    assert all(abs(x).bit_length() < 512 for X in (res.U, res.V) for r in X.to_lists() for x in r)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_large_integer_invariants_match_sympy(n):
+    pytest.importorskip("sympy")
+    from sympy import Matrix as SympyMatrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rows = random_square(n)
+    want = [abs(int(x)) for x in invariant_factors(SympyMatrix(rows)) if x != 0]
+    assert list(smith_normal_form(int_matrix(rows)).invariants) == want
+
+
 @pytest.mark.parametrize(
     "rows,expected",
     [
@@ -116,9 +149,10 @@ def test_kernel_basis_runs_no_smith_form(solver, monkeypatch):
         assert A @ solve_exact(A, B) == B
 
 
-@pytest.mark.parametrize("solver", [kernel_basis, hermite_basis, solve_exact])
+@pytest.mark.parametrize("solver", [kernel_basis, hermite_basis, solve_exact, smith_normal_form])
 def test_hermite_forms_run_under_the_step_budget(solver, monkeypatch):
-    # the gcd cascade ticks its own counter, so it cannot run unbounded
+    # the gcd cascade ticks its own counter, so it cannot run unbounded,
+    # and a Smith form does all its elimination in Hermite passes
     monkeypatch.setattr(budget, "DEFAULT_MAX_STEPS", 2)
     rng = random.Random(57)
     A = int_matrix([[rng.randint(-50, 50) for _ in range(6)] for _ in range(4)])
