@@ -123,23 +123,6 @@ def uni_gcd(F, f, g):
     return uni_monic(F, f)[0]
 
 
-def uni_ext_gcd(F, f, g):
-    """(d, s, t) with s*f + t*g = d, d the monic gcd."""
-    r0, r1 = f, g
-    s0, s1 = (F.one(),), ()
-    t0, t1 = (), (F.one(),)
-    while r1:
-        q, r = uni_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, uni_sub(F, s0, uni_mul(F, q, s1))
-        t0, t1 = t1, uni_sub(F, t0, uni_mul(F, q, t1))
-    if not r0:
-        return (), (), ()
-    u = F.inv_unit(uni_lc(r0))
-    scale = (u,)
-    return uni_scale(F, u, r0), uni_mul(F, scale, s0), uni_mul(F, scale, t0)
-
-
 def uni_derivative(F, f):
     out = []
     for i in range(1, len(f)):

@@ -8,6 +8,13 @@ methods directly.
 Tier 1 kinds: Z, Zmod m, Fp, Q, univariate poly over a field, and its
 monic quotients.  Tier 2: multivariate poly over a field (ideal
 calculus only; no matrix kernels).
+
+The quotients Z/m and k[t]/(f) are read through their cover ring: a
+QuotientRing D/(mu) stores each element as its canonical representative
+in D, the remainder D.residue(c, mu) (in [0, m) over Z, of degree below
+deg f over k[t]).  Units, inverses and exact division are computed in D
+from gcds with mu and one extended Euclid, EuclideanRing.inverse_mod;
+only add, neg and mul are written per kind.
 """
 
 from fractions import Fraction
@@ -136,6 +143,21 @@ class EuclideanRing(Ring):
         """(c, u) with c = u*a the canonical generator of (a), u a unit."""
         raise NotImplementedError
 
+    def residue(self, a, m):
+        """The canonical representative of a mod a nonzero m."""
+        return self.euclid_divmod(a, m)[1]
+
+    def inverse_mod(self, a, m):
+        """s with s*a = 1 mod m, reduced mod m (extended Euclid), or
+        None when a is not a unit mod m."""
+        r0, r1, s0, s1 = a, m, self.one(), self.zero()
+        while not self.is_zero(r1):
+            quo, rem = self.euclid_divmod(r0, r1)
+            r0, r1, s0, s1 = r1, rem, s1, self.sub(s0, self.mul(quo, s1))
+        if not self.is_unit(r0):
+            return None
+        return self.residue(self.mul(s0, self.inv_unit(r0)), m)
+
     def gcd(self, a, b):
         while not self.is_zero(b):
             a, b = b, self.euclid_divmod(a, b)[1]
@@ -155,18 +177,59 @@ class EuclideanRing(Ring):
 
 
 class QuotientRing(Ring):
-    """Mixin for quotients D/(mu) of a Euclidean domain D by a nonzero
-    principal ideal: cover_ring is D, modulus is mu, lift picks the
-    canonical representative in D and project reduces mod mu."""
+    """Quotient D/(mu) of a Euclidean domain D by a nonzero principal
+    ideal: cover_ring is D, modulus is mu.  A payload is the canonical
+    representative D.residue(c, mu) of its class, so lift is the
+    identity and project reduces mod mu.  Everything but add, neg and
+    mul is computed in D from that representative."""
 
     cover_ring = None
     modulus = None
 
+    def signature(self):
+        return (self.kind, self.cover_ring.signature(), self.modulus)
+
+    def zero(self):
+        return self.cover_ring.zero()
+
+    def from_int(self, k):
+        return self.project(self.cover_ring.from_int(k))
+
     def lift(self, a):
-        raise NotImplementedError
+        return a
 
     def project(self, c):
-        raise NotImplementedError
+        return self.cover_ring.residue(c, self.modulus)
+
+    def render(self, a):
+        return self.cover_ring.render(a)
+
+    def is_unit(self, a):
+        D = self.cover_ring
+        return D.is_unit(D.gcd(a, self.modulus))
+
+    def inv_unit(self, a):
+        s = self.cover_ring.inverse_mod(a, self.modulus)
+        if s is None:
+            raise NotDivisibleError(f"{self.render(a)} is not a unit in {self.describe()}")
+        return s
+
+    def exact_div(self, a, b):
+        """The solution x of b*x = a of least norm: with g = gcd(b, mu),
+        (a/g) * (b/g)^-1 reduced mod mu/g."""
+        D = self.cover_ring
+        if D.is_zero(b):
+            if D.is_zero(a):
+                return self.zero()
+            raise NotDivisibleError("division by zero")
+        g = D.gcd(b, self.modulus)
+        q, r = D.euclid_divmod(a, g)
+        if not D.is_zero(r):
+            raise NotDivisibleError(
+                f"{self.render(b)} does not divide {self.render(a)} in {self.describe()}"
+            )
+        m1 = D.exact_div(self.modulus, g)
+        return D.residue(D.mul(q, D.inverse_mod(D.exact_div(b, g), m1)), m1)
 
 
 class FieldRing(EuclideanRing):
@@ -252,6 +315,10 @@ class IntegerRing(EuclideanRing):
             else:
                 q, r = q - 1, r + b
         return q, r
+
+    def residue(self, a, m):
+        # Z/m payloads lie in [0, m); the balanced remainder may not
+        return a % m
 
     def canonical_associate(self, a):
         return (-a, -1) if a < 0 else (a, 1)
@@ -353,17 +420,8 @@ class IntModRing(QuotientRing):
         self.cover_ring = IntegerRing()
         self.modulus = m
 
-    def signature(self):
-        return ("Zmod", self.m)
-
     def describe(self):
         return f"Z/{self.m}"
-
-    def zero(self):
-        return 0
-
-    def from_int(self, k):
-        return k % self.m
 
     def add(self, a, b):
         return (a + b) % self.m
@@ -374,47 +432,8 @@ class IntModRing(QuotientRing):
     def mul(self, a, b):
         return (a * b) % self.m
 
-    def is_unit(self, a):
-        import math
-
-        return math.gcd(a, self.m) == 1
-
-    def inv_unit(self, a):
-        try:
-            return pow(a, -1, self.m)
-        except ValueError:
-            raise NotDivisibleError(f"{a} is not a unit in {self.describe()}")
-
-    def exact_div(self, a, b):
-        # least nonnegative solution x of b*x = a, if any
-        import math
-
-        g = math.gcd(b, self.m)
-        if g == 0:
-            if a == 0:
-                return 0
-            raise NotDivisibleError("division by zero")
-        if a % g:
-            raise NotDivisibleError(f"{b} does not divide {a} in {self.describe()}")
-        m1 = self.m // g
-        if m1 == 1:
-            return 0
-        return (a // g) * pow(b // g, -1, m1) % m1
-
-    def lift(self, a):
-        return a
-
-    def project(self, c):
-        return c % self.m
-
-    def render(self, a):
-        return render_number(a)
-
     def random_element(self, rng):
         return rng.randrange(self.m)
-
-    def elements(self):
-        return range(self.m)
 
 
 class UniPolyRing(EuclideanRing):
@@ -480,9 +499,6 @@ class UniPolyRing(EuclideanRing):
         monic, u = polys.uni_monic(self.F, a)
         return monic, polys.uni_const(self.F, u)
 
-    def gcd(self, a, b):
-        return polys.uni_gcd(self.F, a, b)
-
     def render(self, a):
         return render_uni(self.F, a, self.var)
 
@@ -505,17 +521,8 @@ class UniQuotRing(QuotientRing):
         self.cover_ring = cover
         self.modulus = modulus
 
-    def signature(self):
-        return ("polyquot", self.F.signature(), self.var, self.modulus)
-
     def describe(self):
         return f"{self.F.describe()}[{self.var}]/({self.cover_ring.render(self.modulus)})"
-
-    def zero(self):
-        return ()
-
-    def from_int(self, k):
-        return self.project(self.cover_ring.from_int(k))
 
     def var_elem(self):
         return RingElem(self, self.project(self.cover_ring.var_payload()))
@@ -528,42 +535,6 @@ class UniQuotRing(QuotientRing):
 
     def mul(self, a, b):
         return self.project(polys.uni_mul(self.F, a, b))
-
-    def is_unit(self, a):
-        return polys.uni_deg(polys.uni_gcd(self.F, a, self.modulus)) == 0 if a else False
-
-    def inv_unit(self, a):
-        g, s, _ = polys.uni_ext_gcd(self.F, a, self.modulus)
-        if polys.uni_deg(g) != 0:
-            raise NotDivisibleError(f"{self.render(a)} is not a unit in {self.describe()}")
-        return self.project(s)
-
-    def exact_div(self, a, b):
-        # solve b*x = a mod modulus; canonical solution of least degree
-        F = self.F
-        g = polys.uni_gcd(F, b, self.modulus)
-        if not b and not a:
-            return ()
-        if not b:
-            raise NotDivisibleError("division by zero")
-        q, r = polys.uni_divmod(F, a, g)
-        if r:
-            raise NotDivisibleError(f"{self.render(b)} does not divide {self.render(a)} in {self.describe()}")
-        b1 = polys.uni_divmod(F, b, g)[0]
-        m1 = polys.uni_divmod(F, self.modulus, g)[0]
-        if polys.uni_deg(m1) == 0:
-            return ()
-        _, s, _ = polys.uni_ext_gcd(F, b1, m1)
-        return polys.uni_divmod(F, polys.uni_mul(F, q, s), m1)[1]
-
-    def lift(self, a):
-        return a
-
-    def project(self, c):
-        return polys.uni_divmod(self.F, c, self.modulus)[1]
-
-    def render(self, a):
-        return render_uni(self.F, a, self.var)
 
     def random_element(self, rng):
         d = polys.uni_deg(self.modulus)

@@ -7,10 +7,10 @@ idempotents 0 and 1.  A quotient R = D/(mu) of a Euclidean domain is
 read through its cover ring D: prime_factors splits mu into pairwise
 coprime blocks q_i = p_i^e_i (factor_integer over Z, factor_unipoly
 over k[t]), and the CRT idempotent of a block is the residue of
-(mu/q_i) * s with s * (mu/q_i) = 1 mod q_i, exact because the blocks
-are coprime.  Sums of these give every idempotent once the split is
-complete, and two or more blocks already show that Spec is
-disconnected.  A ring is reported connected exactly when 0 and 1 are
+(mu/q_i) * s with s = D.inverse_mod(mu/q_i, q_i), which exists
+because the blocks are coprime.  Sums of these give every idempotent
+once the split is complete, and two or more blocks already show that
+Spec is disconnected.  A ring is reported connected exactly when 0 and 1 are
 the only idempotents; over Q-coefficient quotients whose modulus
 resists complete factorization the answer can be "unknown", reported
 as None rather than a guess.
@@ -35,15 +35,6 @@ def prime_factors(ring, g):
     return factor_unipoly(cover.F, g)
 
 
-def _inverse_mod(cover, a, q):
-    """s with s*a = 1 mod q, for a coprime to q (extended Euclid)."""
-    r0, r1, s0, s1 = a, q, cover.one(), cover.zero()
-    while not cover.is_zero(r1):
-        quo, rem = cover.euclid_divmod(r0, r1)
-        r0, r1, s0, s1 = r1, rem, s1, cover.sub(s0, cover.mul(quo, s1))
-    return cover.mul(s0, cover.inv_unit(r0))
-
-
 def _crt_basis(ring):
     """(basis, complete): the CRT idempotent of each block of the
     coprime split of the modulus of a quotient ring, in prime_factors
@@ -55,7 +46,7 @@ def _crt_basis(ring):
     for p, e in pairs:
         q = cover.pow_(p, e)
         rest = cover.exact_div(mu, q)
-        basis.append(ring.project(cover.mul(rest, _inverse_mod(cover, rest, q))))
+        basis.append(ring.project(cover.mul(rest, cover.inverse_mod(rest, q))))
     return basis, complete
 
 

@@ -7,6 +7,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thickgen.cli import run_script
 from thickgen.complexes import koszul, random_complex
@@ -95,6 +97,15 @@ def test_bad_literal_is_a_parse_error_at_the_literal(script, line, col):
     assert text == ""
     assert err.getvalue().startswith(f"parse error: line {line}, col {col}: ")
     assert "Traceback" not in err.getvalue()
+
+
+def test_division_by_zero_over_zmod_is_a_parse_error():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run("ring R = Zmod 12\nideal I over R = (3/0)\n", machine=True)
+    assert code == 1
+    assert text == ""
+    assert err.getvalue() == "parse error: line 2, col 18: division by zero\n"
 
 
 def test_number_too_long_to_render_is_an_engine_error():
@@ -294,3 +305,89 @@ def test_session_runs_commands_in_order():
 def test_unbalanced_complex_braces_flag_line():
     with pytest.raises(ParseError):
         parse_script("ring R = Z\ncomplex X over R = { deg 0..1 ; d(0) = [[2]]\n")
+
+
+# ------------------------------------------------------- bounded script fuzz
+
+FUZZ_RINGS = [
+    "Z",
+    "Q",
+    "Zmod 12",
+    "Zmod 7",
+    "Fp 5",
+    "poly Q [x]",
+    "poly F3 [x]",
+    "polyquot F2 [x] (x^3 + x)",
+    "polyquot Q [x] (x^2 - 1)",
+    "poly Q [x,y]",
+    "poly F5 [x,y] lex",
+    "poly Q [x,y,z]",
+]
+
+EXPR = st.recursive(
+    st.sampled_from([str(k) for k in range(7)] + ["x", "y", "z"]),
+    lambda sub: st.one_of(
+        st.builds("({} {} {})".format, sub, st.sampled_from("+-*/"), sub),
+        st.builds("({})^{}".format, sub, st.integers(0, 6)),
+    ),
+    max_leaves=4,
+)
+
+SMALL = st.integers(0, 6)
+COMPLEX_NAME = st.sampled_from(["X", "Y", "K"])
+
+
+@st.composite
+def complex_literal(draw, name):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = st.integers(-6, 6).map(str)
+    matrix = ", ".join(
+        "[" + ", ".join(draw(entries) for _ in range(cols)) + "]" for _ in range(rows)
+    )
+    lo = draw(st.integers(-1, 1))
+    return f"complex {name} over R = {{ deg {lo}..{lo + 1} ; d({lo}) = [{matrix}] }}"
+
+
+COMMAND = st.one_of(
+    st.sampled_from(["koszul I", "koszul I as K", "spec R", "idempotents R"]),
+    st.builds("homology {}".format, COMPLEX_NAME),
+    st.builds("ann {}".format, COMPLEX_NAME),
+    st.builds("support {}".format, COMPLEX_NAME),
+    st.builds("thick-member {} {}".format, COMPLEX_NAME, COMPLEX_NAME),
+    st.builds("level-lb {} {}".format, COMPLEX_NAME, COMPLEX_NAME),
+    st.builds("witness-principal R ({}) {} as W".format, EXPR, SMALL),
+    st.builds("validate-witness W {} {}".format, COMPLEX_NAME, COMPLEX_NAME),
+    st.builds("nilpotence R I --max {}".format, SMALL),
+    st.builds("obstruct R I --max {}".format, SMALL),
+)
+
+
+@st.composite
+def fuzz_script(draw):
+    gens = ", ".join(draw(st.lists(EXPR, min_size=1, max_size=2)))
+    lines = [
+        f"ring R = {draw(st.sampled_from(FUZZ_RINGS))}",
+        f"ideal I over R = ({gens})",
+        draw(complex_literal("X")),
+        draw(complex_literal("Y")),
+    ]
+    lines += draw(st.lists(COMMAND, min_size=1, max_size=3))
+    return "\n".join(lines) + "\n"
+
+
+def run_machine(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_script(text, machine=True, out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=fuzz_script())
+def test_fuzzed_scripts_end_with_an_exit_code_and_repeat(script):
+    first = run_machine(script)
+    code, out, _ = first
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out == ""
+    assert run_machine(script) == first

@@ -1,5 +1,6 @@
 """Ring axiom and arithmetic tests across all supported ring kinds."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,100 @@ def test_exact_div_inverts_mul(name, data):
         return
     q = ring.exact_div(prod, b)
     assert ring.mul(q, b) == prod
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_division_by_zero_has_one_message(name):
+    ring = RINGS[name]
+    with pytest.raises(NotDivisibleError, match="^division by zero$"):
+        ring.exact_div(ring.one(), ring.zero())
+
+
+# ------------------------------------------- brute-force quotient arithmetic
+
+
+def _int_table(m):
+    """Elements of Z/m as ints, and their product mod m."""
+    return list(range(m)), lambda a, b: a * b % m
+
+
+def _poly_table(p, mu):
+    """Elements of F_p[t]/(mu) as trimmed coefficient tuples (constant
+    term first), and their schoolbook product reduced mod mu and mod p;
+    mu is monic, given as a coefficient tuple."""
+    d = len(mu) - 1
+
+    def trim(c):
+        c = list(c)
+        while c and c[-1] == 0:
+            c.pop()
+        return tuple(c)
+
+    def mul(a, b):
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        for k in range(len(out) - 1, d - 1, -1):
+            c = out[k]
+            for j in range(d + 1):
+                out[k - d + j] = (out[k - d + j] - c * mu[j]) % p
+        return trim(out)
+
+    return [trim(c) for c in itertools.product(range(p), repeat=d)], mul
+
+
+QUOTIENT_CASES = [(Zmod(m), _int_table(m), m) for m in range(2, 37)] + [
+    (UniQuotRing(GF(p), "t", mu), _poly_table(p, mu), p)
+    for p, mu in [
+        (2, (0, 0, 1)),
+        (2, (0, 1, 0, 1)),
+        (2, (1, 0, 1)),
+        (2, (0, 0, 1, 1)),
+        (2, (0, 0, 1, 0, 1)),
+        (2, (1, 1, 1)),  # the field F4
+        (3, (2, 0, 1)),
+        (3, (0, 0, 0, 1)),
+        (3, (1, 0, 1)),  # the field F9
+    ]
+]
+
+
+@pytest.mark.parametrize("case", QUOTIENT_CASES, ids=[c[0].describe() for c in QUOTIENT_CASES])
+def test_quotient_arithmetic_matches_brute_force(case):
+    """is_unit, inv_unit and exact_div against a search of all elements.
+
+    The solutions of b*x = a form a coset of the annihilator of b,
+    which is (mu/g)/(mu) with g = gcd(b, mu), so mu/g has norm
+    |R| / |solutions|.  The least solution returned must be under m/g
+    over Z, and of degree below deg(mu/g) = log_p(|R| / |solutions|)
+    over F_p[t]."""
+    ring, (elems, mul), base = case
+    one = ring.one()
+    for b in elems:
+        products = [mul(b, x) for x in elems]
+        inverses = [x for x, bx in zip(elems, products) if bx == one]
+        assert ring.is_unit(b) == bool(inverses)
+        if inverses:
+            assert ring.inv_unit(b) == inverses[0]
+        else:
+            with pytest.raises(NotDivisibleError):
+                ring.inv_unit(b)
+        solutions = {}
+        for x, bx in zip(elems, products):
+            solutions.setdefault(bx, []).append(x)
+        for a in elems:
+            sols = solutions.get(a)
+            if sols is None:
+                with pytest.raises(NotDivisibleError):
+                    ring.exact_div(a, b)
+                continue
+            x = ring.exact_div(a, b)
+            assert x in sols
+            if ring.kind == "Zmod":
+                assert 0 <= x < base // len(sols)
+            else:
+                assert base ** len(x) * len(sols) <= len(elems)
 
 
 def test_integer_division_is_balanced():
