@@ -3,9 +3,10 @@
 Binding statements construct values immediately (bad literals are parse
 errors, with line and column); commands are syntax-checked, stored on
 the session, and dispatched later, reporting engine failures separately
-so a front end can distinguish the two.  Renderers emit the same
-grammar the parser accepts, and re-parsing a rendered complex yields an
-equal complex.
+so a front end can distinguish the two.  One table, `COMMANDS`, states
+the command set: each command's argument grammar, which the parser
+reads, and its runner.  Renderers emit the same grammar the parser
+accepts, and re-parsing a rendered complex yields an equal complex.
 """
 
 import re
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from .complexes import ChainMap, FreeComplex, koszul
 from .errors import ComplexFormatError, EngineError, ParseError
 from .generation import (
+    level_lines,
     level_lower_bound,
     principal_power_witness,
     strong_generation_obstruction,
@@ -36,24 +38,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-COMMANDS = {
-    "koszul": 1,
-    "homology": 1,
-    "ann": 1,
-    "support": 1,
-    "thick-member": 2,
-    "level-lb": 2,
-    "witness-principal": None,
-    "validate-witness": 3,
-    "spec": 1,
-    "idempotents": 1,
-    "nilpotence": 2,
-    "obstruct": 2,
-}
-
-BINDERS = ("ring", "ideal", "complex", "map")
-
 
 @dataclass
 class Token:
@@ -132,6 +116,31 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    # token texts never overlap across kinds, so the text alone tells an
+    # op from a name
+    def at(self, *texts):
+        return self.peek().text in texts
+
+    def accept(self, text):
+        if self.at(text):
+            self.next()
+            return True
+        return False
+
+    def comma_list(self, item):
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return out
+
+    def indexed(self):
+        """The `(n) =` after d, rank and c; returns n."""
+        self.expect_op("(")
+        n = self.expect_int()
+        self.expect_op(")")
+        self.expect_op("=")
+        return n
+
     def expect_op(self, text):
         tok = self.next()
         if tok.kind != "op" or tok.text != text:
@@ -145,11 +154,7 @@ class _Parser:
         return tok
 
     def expect_int(self):
-        neg = False
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
-            neg = True
+        neg = self.accept("-")
         tok = self.next()
         if tok.kind != "int":
             self.fail(f"expected integer, found {tok.text!r}", tok)
@@ -164,25 +169,19 @@ class _Parser:
         except ValueError:
             self.fail(f"integer of {len(tok.text)} digits is too long", tok)
 
-    def expect_flag(self, name):
+    def expect_flag(self, flag):
         a = self.next()
         b = self.next()
         tok = self.next()
-        ok = (
-            a.kind == "op" and a.text == "-"
-            and b.kind == "op" and b.text == "-"
-            and tok.kind == "name" and tok.text == name
-        )
-        if not ok:
-            self.fail(f"expected --{name}", a)
+        if (a.text, b.text, tok.text) != ("-", "-", flag[2:]):
+            self.fail(f"expected {flag}", a)
 
     # statement keyword, possibly hyphenated (thick-member, level-lb)
     def command_word(self):
         tok = self.expect_name("statement keyword")
         word = tok.text
         while (
-            self.peek().kind == "op"
-            and self.peek().text == "-"
+            self.at("-")
             and self.peek(1).kind == "name"
             and f"{word}-{self.peek(1).text}" in COMMANDS
         ):
@@ -194,28 +193,27 @@ class _Parser:
 
     def parse_expr(self):
         node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
+        while self.at("+", "-"):
             op = self.next().text
             node = ("bin", op, node, self.parse_term())
         return node
 
     def parse_term(self):
         node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+        while self.at("*", "/"):
             op = self.next().text
             node = ("bin", op, node, self.parse_unary())
         return node
 
     def parse_unary(self):
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.at("-"):
             tok = self.next()
             return ("neg", self.parse_unary(), tok)
         return self.parse_power()
 
     def parse_power(self):
         node = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
+        if self.accept("^"):
             tok = self.peek()
             n = self.expect_int()
             if n < 0:
@@ -229,7 +227,7 @@ class _Parser:
             return ("int", self.int_value(tok), tok)
         if tok.kind == "name":
             return ("var", tok.text, tok)
-        if tok.kind == "op" and tok.text == "(":
+        if tok.text == "(":
             node = self.parse_expr()
             self.expect_op(")")
             return node
@@ -252,7 +250,7 @@ class _Parser:
             F = self.parse_coeff_field()
             names = self.parse_var_list()
             order = "grevlex"
-            if self.peek().kind == "name" and self.peek().text in ("lex", "grevlex"):
+            if self.at("lex", "grevlex"):
                 order = self.next().text
             return poly_ring(F, names, order=order)
         if head == "polyquot":
@@ -281,19 +279,13 @@ class _Parser:
 
     def parse_var_list(self):
         self.expect_op("[")
-        names = [self.expect_name("variable").text]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.next()
-            names.append(self.expect_name("variable").text)
+        names = self.comma_list(lambda: self.expect_name("variable").text)
         self.expect_op("]")
         return names
 
     def parse_ideal_literal(self, ring):
         self.expect_op("(")
-        asts = [self.parse_expr()]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.next()
-            asts.append(self.parse_expr())
+        asts = self.comma_list(self.parse_expr)
         self.expect_op(")")
         return Ideal(
             ring, [RingElem(ring, eval_expr(a, ring)) for a in asts]
@@ -301,29 +293,22 @@ class _Parser:
 
     def parse_matrix(self, ring):
         start = self.expect_op("[")
-        rows = []
-        if self.peek().kind == "op" and self.peek().text == "]":
-            self.next()
+        if self.accept("]"):
             return Matrix(ring, [], 0, 0)
-        while True:
-            self.expect_op("[")
-            row = []
-            if not (self.peek().kind == "op" and self.peek().text == "]"):
-                row.append(eval_expr(self.parse_expr(), ring))
-                while self.peek().kind == "op" and self.peek().text == ",":
-                    self.next()
-                    row.append(eval_expr(self.parse_expr(), ring))
-            self.expect_op("]")
-            rows.append(row)
-            if self.peek().kind == "op" and self.peek().text == ",":
-                self.next()
-                continue
-            break
+        rows = self.comma_list(lambda: self.parse_matrix_row(ring))
         self.expect_op("]")
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             self.fail("matrix rows have unequal lengths", start)
-        return Matrix(ring, rows, len(rows), rows and len(rows[0]) or 0)
+        return Matrix(ring, rows, len(rows), len(rows[0]))
+
+    def parse_matrix_row(self, ring):
+        self.expect_op("[")
+        row = []
+        if not self.at("]"):
+            row = self.comma_list(lambda: eval_expr(self.parse_expr(), ring))
+        self.expect_op("]")
+        return row
 
     def parse_complex_literal(self, ring):
         start = self.expect_op("{")
@@ -337,22 +322,15 @@ class _Parser:
             self.fail("empty degree range", head)
         diffs = {}
         ranks = {}
-        while self.peek().kind == "op" and self.peek().text == ";":
-            self.next()
+        while self.accept(";"):
             tok = self.expect_name("d or rank entry")
             if tok.text == "d":
-                self.expect_op("(")
-                n = self.expect_int()
-                self.expect_op(")")
-                self.expect_op("=")
+                n = self.indexed()
                 if n in diffs:
                     self.fail(f"duplicate d({n}) block", tok)
                 diffs[n] = (self.parse_matrix(ring), tok)
             elif tok.text == "rank":
-                self.expect_op("(")
-                n = self.expect_int()
-                self.expect_op(")")
-                self.expect_op("=")
+                n = self.indexed()
                 r = self.expect_int()
                 if r < 0:
                     self.fail("ranks are nonnegative", tok)
@@ -393,19 +371,15 @@ class _Parser:
         start = self.expect_op("{")
         ring = src.ring
         comps = {}
-        while not (self.peek().kind == "op" and self.peek().text == "}"):
+        while not self.at("}"):
             tok = self.expect_name("c entry")
             if tok.text != "c":
                 self.fail(f"expected c(...), found {tok.text!r}", tok)
-            self.expect_op("(")
-            n = self.expect_int()
-            self.expect_op(")")
-            self.expect_op("=")
+            n = self.indexed()
             if n in comps:
                 self.fail(f"duplicate c({n}) block", tok)
             comps[n] = self.parse_matrix(ring)
-            if self.peek().kind == "op" and self.peek().text == ";":
-                self.next()
+            self.accept(";")
         self.expect_op("}")
         try:
             return ChainMap(src, dst, comps)
@@ -442,9 +416,7 @@ def _eval(node, ring, env):
 
 
 def _var_env(ring):
-    if ring.kind == "poly1":
-        return {ring.var: ring.var_elem().payload}
-    if ring.kind == "polyquot":
+    if ring.kind in ("poly1", "polyquot"):
         return {ring.var: ring.var_elem().payload}
     if ring.kind == "polym":
         return {v: ring.var_elem(i).payload for i, v in enumerate(ring.vars)}
@@ -466,41 +438,33 @@ def parse_script(text):
 
 def _parse_statement(parser, session):
     word, tok = parser.command_word()
-    if word == "ring":
-        name = parser.expect_name("ring name").text
-        parser.expect_op("=")
-        value = _literal(parser, parser.parse_ring_literal)
-        session.bind(name, "ring", value, tok.line)
+    if word in COMMANDS:
+        _parse_command(parser, session, word, tok)
         return
-    if word == "ideal":
-        name = parser.expect_name("ideal name").text
-        _expect_keyword(parser, "over")
-        ring = _bound(parser, session, "ring")
-        parser.expect_op("=")
-        value = _literal(parser, lambda: parser.parse_ideal_literal(ring))
-        session.bind(name, "ideal", value, tok.line)
-        return
-    if word == "complex":
-        name = parser.expect_name("complex name").text
-        _expect_keyword(parser, "over")
-        ring = _bound(parser, session, "ring")
-        parser.expect_op("=")
-        value = _literal(parser, lambda: parser.parse_complex_literal(ring))
-        session.bind(name, "complex", value, tok.line)
-        return
-    if word == "map":
-        name = parser.expect_name("map name").text
+    if word not in ("ring", "ideal", "complex", "map"):
+        parser.fail(f"unknown statement {word!r}", tok)
+    name = parser.expect_name(f"{word} name").text
+    literal = _binding_header(parser, session, word)
+    parser.expect_op("=")
+    session.bind(name, word, _literal(parser, literal), tok.line)
+
+
+def _binding_header(parser, session, kind):
+    """Read a binding's header, between its name and `=`; returns the
+    parser of its literal."""
+    if kind == "ring":
+        return parser.parse_ring_literal
+    if kind == "map":
         parser.expect_op(":")
         src = _bound(parser, session, "complex")
         parser.expect_op("->")
         dst = _bound(parser, session, "complex")
-        parser.expect_op("=")
-        value = _literal(parser, lambda: parser.parse_map_literal(src, dst))
-        session.bind(name, "map", value, tok.line)
-        return
-    if word not in COMMANDS:
-        parser.fail(f"unknown statement {word!r}", tok)
-    _parse_command(parser, session, word, tok)
+        return lambda: parser.parse_map_literal(src, dst)
+    _expect_keyword(parser, "over")
+    ring = _bound(parser, session, "ring")
+    if kind == "ideal":
+        return lambda: parser.parse_ideal_literal(ring)
+    return lambda: parser.parse_complex_literal(ring)
 
 
 def _expect_keyword(parser, kw):
@@ -512,12 +476,10 @@ def _expect_keyword(parser, kw):
 def _bound(parser, session, kind):
     """The value bound to the next name, which must be a `kind`."""
     tok = parser.expect_name(f"{kind} name")
-    if tok.text not in session.bindings:
-        parser.fail(f"unknown name {tok.text!r}", tok)
-    bound_kind, value = session.bindings[tok.text]
-    if bound_kind != kind:
-        parser.fail(f"{tok.text!r} is bound to a {bound_kind}, expected {kind}", tok)
-    return value
+    try:
+        return session.get(tok.text, kind)
+    except EngineError as exc:
+        parser.fail(str(exc), tok)
 
 
 def _literal(parser, thunk):
@@ -534,40 +496,32 @@ def _literal(parser, thunk):
 
 
 def _parse_command(parser, session, word, tok):
-    if word == "witness-principal":
-        ring_name = parser.expect_name("ring name").text
-        parser.expect_op("(")
-        ast = parser.parse_expr()
-        parser.expect_op(")")
-        n_tok = parser.peek()
-        n = parser.expect_int()
-        if n < 1:
-            parser.fail("power must be at least 1", n_tok)
-        bind_as = _parse_as(parser, session, tok)
-        args = (ring_name, ast, n, bind_as)
-    elif word in ("nilpotence", "obstruct"):
-        a = parser.expect_name("ring name").text
-        b = parser.expect_name("ideal name").text
-        parser.expect_flag("max")
-        n_tok = parser.peek()
-        n = parser.expect_int()
-        floor = 2 if word == "obstruct" else 1
-        if n < floor:
-            parser.fail(f"--max must be at least {floor}", n_tok)
-        args = (a, b, n)
-    elif word == "koszul":
-        a = parser.expect_name("ideal name").text
-        bind_as = _parse_as(parser, session, tok)
-        args = (a, bind_as)
-    else:
-        arity = COMMANDS[word]
-        args = tuple(parser.expect_name("name").text for _ in range(arity))
-    session.commands.append(Command(word, args, tok.line))
+    """Read the arguments that COMMANDS[word] lists: a name label, "as",
+    "(expr)", or (label, floor) for an integer of at least floor."""
+    args = []
+    for item in COMMANDS[word][0]:
+        if item == "as":
+            args.append(_parse_as(parser, session, tok))
+        elif item == "(expr)":
+            parser.expect_op("(")
+            args.append(parser.parse_expr())
+            parser.expect_op(")")
+        elif isinstance(item, tuple):
+            label, floor = item
+            if label == "--max":
+                parser.expect_flag(label)
+            n_tok = parser.peek()
+            n = parser.expect_int()
+            if n < floor:
+                parser.fail(f"{label} must be at least {floor}", n_tok)
+            args.append(n)
+        else:
+            args.append(parser.expect_name(item).text)
+    session.commands.append(Command(word, tuple(args), tok.line))
 
 
 def _parse_as(parser, session, tok):
-    if parser.peek().kind == "name" and parser.peek().text == "as":
-        parser.next()
+    if parser.accept("as"):
         name = parser.expect_name("binding name").text
         # claim the name now so later statements cannot reuse it
         session.bind(name, "pending result", None, tok.line)
@@ -630,7 +584,7 @@ def render_complex(X):
 def run_command(session, cmd):
     """Execute one stored command; returns a list of key: value blocks
     (each block a list of lines)."""
-    return _DISPATCH[cmd.name](session, cmd)
+    return COMMANDS[cmd.name][1](session, cmd)
 
 
 def _cmd_koszul(session, cmd):
@@ -707,8 +661,7 @@ def _cmd_witness_principal(session, cmd):
         "command: witness-principal",
         f"element: {x!r}",
         f"power: {n}",
-        f"level: {lvl}",
-        f"cones: {lvl - 1}",
+        *level_lines(lvl),
         f"target: {render_complex(target)}",
     ]
     if bind_as:
@@ -721,14 +674,7 @@ def _cmd_validate_witness(session, cmd):
     X = session.get(cmd.args[1], "complex")
     G = session.get(cmd.args[2], "complex")
     lvl = validate_witness(W[0], X, G)
-    return [
-        [
-            "command: validate-witness",
-            "valid: yes",
-            f"level: {lvl}",
-            f"cones: {lvl - 1}",
-        ]
-    ]
+    return [["command: validate-witness", "valid: yes"] + level_lines(lvl)]
 
 
 def _cmd_spec(session, cmd):
@@ -743,39 +689,43 @@ def _cmd_idempotents(session, cmd):
     return [["command: idempotents", "idempotents: " + " ".join(rendered)]]
 
 
-def _cmd_nilpotence(session, cmd):
+def _ideal_over_ring(session, cmd):
+    """(ideal, max) of a `<ring> <ideal> --max n` command; the ring is
+    looked up first."""
     ring_name, ideal_name, max_n = cmd.args
     R = session.get(ring_name, "ring")
     I = session.get(ideal_name, "ideal")
     if I.ring != R:
         raise EngineError(f"ideal {ideal_name!r} is not defined over {ring_name!r}")
-    report = nilpotence_lemma_check(I, max_n)
+    return I, max_n
+
+
+def _cmd_nilpotence(session, cmd):
+    report = nilpotence_lemma_check(*_ideal_over_ring(session, cmd))
     return [["command: nilpotence"] + report.lines()]
 
 
 def _cmd_obstruct(session, cmd):
-    ring_name, ideal_name, max_n = cmd.args
-    R = session.get(ring_name, "ring")
-    I = session.get(ideal_name, "ideal")
-    if I.ring != R:
-        raise EngineError(f"ideal {ideal_name!r} is not defined over {ring_name!r}")
-    report = strong_generation_obstruction(I, max_n)
-    blocks = report.blocks()
+    blocks = strong_generation_obstruction(*_ideal_over_ring(session, cmd)).blocks()
     blocks[0].insert(0, "command: obstruct")
     return blocks
 
 
-_DISPATCH = {
-    "koszul": _cmd_koszul,
-    "homology": _cmd_homology,
-    "ann": _cmd_ann,
-    "support": _cmd_support,
-    "thick-member": _cmd_thick_member,
-    "level-lb": _cmd_level_lb,
-    "witness-principal": _cmd_witness_principal,
-    "validate-witness": _cmd_validate_witness,
-    "spec": _cmd_spec,
-    "idempotents": _cmd_idempotents,
-    "nilpotence": _cmd_nilpotence,
-    "obstruct": _cmd_obstruct,
+# each command's argument grammar (see _parse_command) and runner
+COMMANDS = {
+    "koszul": (("ideal name", "as"), _cmd_koszul),
+    "homology": (("name",), _cmd_homology),
+    "ann": (("name",), _cmd_ann),
+    "support": (("name",), _cmd_support),
+    "thick-member": (("name", "name"), _cmd_thick_member),
+    "level-lb": (("name", "name"), _cmd_level_lb),
+    "witness-principal": (
+        ("ring name", "(expr)", ("power", 1), "as"),
+        _cmd_witness_principal,
+    ),
+    "validate-witness": (("name", "name", "name"), _cmd_validate_witness),
+    "spec": (("name",), _cmd_spec),
+    "idempotents": (("name",), _cmd_idempotents),
+    "nilpotence": (("ring name", "ideal name", ("--max", 1)), _cmd_nilpotence),
+    "obstruct": (("ring name", "ideal name", ("--max", 2)), _cmd_obstruct),
 }

@@ -7,8 +7,9 @@ A build witness is a tree proving "X can be assembled from G with k
 levels": leaves are shifted copies of G, Sum nodes take finite direct
 sums, Summand nodes pass to direct summands (with both isomorphisms
 recorded), and every Cone node glues one extra level onto its base.
-Validation re-realizes the whole tree and replays every structural
-check, so a certificate is only as good as exact arithmetic.
+`realize` checks while it builds: every node it realizes replays its
+structural checks, so validating a witness is one walk of the tree and
+a certificate is only as good as exact arithmetic.
 
 The lower bound rests on two exact facts: for a three-term exact
 sequence the product of the outer annihilators kills the middle, and a
@@ -40,7 +41,7 @@ from .homology import ann_total_homology, supph
 from .ideals import Ideal
 from .matrices import Matrix
 from .rings import RingElem
-from .spectrum import is_connected_spec
+from .spectrum import connected_lines, is_connected_spec
 
 LEVEL_SEARCH_CAP = 512
 
@@ -80,20 +81,6 @@ class BuildWitness:
     comparison: ChainMap = None  # quasi-iso between realize(root) and X
 
 
-def realize(node, G):
-    if isinstance(node, Leaf):
-        return G.shift(node.shift)
-    if isinstance(node, Sum):
-        if not node.children:
-            return zero_complex(G.ring)
-        return direct_sum([realize(c, G) for c in node.children])
-    if isinstance(node, Cone):
-        return cone(node.glue)
-    if isinstance(node, Summand):
-        return node.target
-    raise TypeError(f"not a witness node: {node!r}")
-
-
 def level(node):
     if isinstance(node, Leaf):
         return 1
@@ -111,21 +98,23 @@ def _replay_chain_map(f):
     return ChainMap(f.src, f.dst, dict(f.comps))
 
 
-def _validate_node(node, G, path):
+def realize(node, G, path="root"):
+    """The complex a witness node builds from G, replaying every
+    structural check on the way; a failed check names its path."""
     try:
         if isinstance(node, Leaf):
-            return realize(node, G)
+            return G.shift(node.shift)
         if isinstance(node, Sum):
             parts = [
-                _validate_node(c, G, f"{path}.child[{i}]")
+                realize(c, G, f"{path}.child[{i}]")
                 for i, c in enumerate(node.children)
             ]
             if not parts:
                 return zero_complex(G.ring)
             return direct_sum(parts)
         if isinstance(node, Cone):
-            base = _validate_node(node.base, G, f"{path}.base")
-            top = _validate_node(node.top, G, f"{path}.top")
+            base = realize(node.base, G, f"{path}.base")
+            top = realize(node.top, G, f"{path}.top")
             if level(node.top) != 1:
                 raise WitnessValidationError(
                     f"{path}.top", "cone tops must stay at level one"
@@ -141,7 +130,7 @@ def _validate_node(node, G, path):
             _replay_chain_map(node.glue)
             return cone(node.glue)
         if isinstance(node, Summand):
-            child = _validate_node(node.child, G, f"{path}.child")
+            child = realize(node.child, G, f"{path}.child")
             total = direct_sum([node.target, node.complement])
             if node.iso.src != child or node.iso.dst != total:
                 raise WitnessValidationError(
@@ -174,7 +163,7 @@ def _validate_node(node, G, path):
 def validate_witness(witness, X, G):
     """Replay every check in the witness tree against X and G; returns
     the certified level on success."""
-    built = _validate_node(witness.root, G, "root")
+    built = realize(witness.root, G)
     if witness.comparison is None:
         if built != X:
             raise WitnessValidationError(
@@ -201,6 +190,11 @@ def validate_witness(witness, X, G):
 # ------------------------------------------------------------ certificates
 
 
+def level_lines(k):
+    """Level k and its cone count k-1: reports quote either."""
+    return [f"level: {k}", f"cones: {k - 1}"]
+
+
 @dataclass
 class LowerBoundCert:
     level: int
@@ -212,9 +206,7 @@ class LowerBoundCert:
     kind = "lower-bound"
 
     def lines(self):
-        # level k and cone count k-1 both appear: reports quote either
-        out = [f"kind: {self.kind}", f"level: {self.level}"]
-        out.append(f"cones: {self.level - 1}")
+        out = [f"kind: {self.kind}"] + level_lines(self.level)
         out.append(f"generator-ann: {self.generator_ann.render()}")
         out.append(f"target-ann: {self.target_ann.render()}")
         if self.witness is not None:
@@ -232,11 +224,7 @@ class UpperBoundCert:
     kind = "upper-bound"
 
     def lines(self):
-        return [
-            f"kind: {self.kind}",
-            f"level: {self.level}",
-            f"cones: {self.level - 1}",
-        ]
+        return [f"kind: {self.kind}"] + level_lines(self.level)
 
 
 @dataclass
@@ -445,8 +433,7 @@ class ObstructionReport:
             f"ring: {self.ring.describe()}",
             f"ideal: {self.ideal.render()}",
             f"max: {self.max_n}",
-            "connected: yes" if self.connected else "connected: no",
-        ]
+        ] + connected_lines(self.ring, self.connected, None)
         if self.mode == "degenerate":
             # I^(k-1) != I^k = (0): the power chain stops at the index
             head.append(f"stabilizes: at {self.nilpotency_index}")

@@ -242,13 +242,7 @@ def supph(X):
 
 def _component_key(ideal):
     g = ideal.cover_gen
-    return (ideal.ring.cover_ring.euclid_norm(g), _payload_key(g))
-
-
-def _payload_key(p):
-    if isinstance(p, tuple):
-        return tuple(_payload_key(x) for x in p)
-    return p
+    return (ideal.ring.cover_ring.euclid_norm(g), g)
 
 
 def closed_set(ideal):

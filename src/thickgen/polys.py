@@ -54,10 +54,6 @@ def uni_neg(F, f):
     return tuple(F.neg(c) for c in f)
 
 
-def uni_sub(F, f, g):
-    return uni_add(F, f, uni_neg(F, g))
-
-
 def uni_scale(F, c, f):
     if F.is_zero(c):
         return ()

@@ -81,7 +81,8 @@ class Ring:
         return result
 
     def is_zero(self, a):
-        return a == self.zero()
+        # 0, Fraction(0) and () are each the only falsy payload of their kind
+        return not a
 
     def is_one(self, a):
         return a == self.one()
@@ -486,7 +487,9 @@ class UniPolyRing(EuclideanRing):
             raise NotDivisibleError("division by zero")
         q, r = polys.uni_divmod(self.F, a, b)
         if r:
-            raise NotDivisibleError(f"{self.render(b)} does not divide {self.render(a)}")
+            raise NotDivisibleError(
+                f"{self.render(b)} does not divide {self.render(a)} in {self.describe()}"
+            )
         return q
 
     def euclid_norm(self, a):
@@ -500,7 +503,8 @@ class UniPolyRing(EuclideanRing):
         return monic, polys.uni_const(self.F, u)
 
     def render(self, a):
-        return render_uni(self.F, a, self.var)
+        terms = [((d,), a[d]) for d in range(len(a) - 1, -1, -1) if a[d]]
+        return render_multi(self.F, terms, (self.var,))
 
     def random_element(self, rng):
         deg = rng.randint(0, 2)
@@ -608,7 +612,9 @@ class MultiPolyRing(Ring):
         while rem:
             lt_r = polys.m_lt(rem)
             if not polys.exp_divides(lt_b[0], lt_r[0]):
-                raise NotDivisibleError(f"{self.render(b)} does not divide {self.render(a)}")
+                raise NotDivisibleError(
+                    f"{self.render(b)} does not divide {self.render(a)} in {self.describe()}"
+                )
             e = polys.exp_div(lt_r[0], lt_b[0])
             c = F.exact_div(lt_r[1], lt_b[1])
             t = ((e, c),)
@@ -645,27 +651,6 @@ def coeff_pieces(F, c):
     if F.kind == "Q" and c < 0:
         return True, render_number(-c)
     return False, F.render(c)
-
-
-def render_uni(F, a, var):
-    if not a:
-        return "0"
-    parts = []
-    for d in range(len(a) - 1, -1, -1):
-        c = a[d]
-        if F.is_zero(c):
-            continue
-        negative, mag = coeff_pieces(F, c)
-        if d == 0:
-            body = mag
-        else:
-            xpow = var if d == 1 else f"{var}^{d}"
-            body = xpow if mag == "1" else f"{mag}*{xpow}"
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts)
 
 
 def render_monomial(exp, names):

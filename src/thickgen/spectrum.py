@@ -101,6 +101,15 @@ def is_connected_spec(ring):
     return None, None
 
 
+def connected_lines(ring, connected, witness):
+    """`connected:` (yes, no or unknown for None) and the `idempotent:`
+    that splits Spec when a witness is given."""
+    out = ["connected: " + {True: "yes", False: "no", None: "unknown"}[connected]]
+    if witness is not None:
+        out.append(f"idempotent: {ring.render(witness)}")
+    return out
+
+
 @dataclass
 class SpecReport:
     ring: object
@@ -110,14 +119,8 @@ class SpecReport:
     note: str
 
     def lines(self):
-        out = []
-        out.append(f"ring: {self.ring.describe()}")
-        if self.connected is None:
-            out.append("connected: unknown")
-        else:
-            out.append("connected: " + ("yes" if self.connected else "no"))
-        if self.witness is not None:
-            out.append(f"idempotent: {self.ring.render(self.witness)}")
+        out = [f"ring: {self.ring.describe()}"]
+        out += connected_lines(self.ring, self.connected, self.witness)
         if self.points is not None:
             out.append(
                 "points: "
@@ -166,13 +169,7 @@ class NilpotenceReport:
             f"ring: {self.ring.describe()}",
             f"ideal: {self.ideal.render()}",
             f"max: {self.max_n}",
-        ]
-        if self.connected is None:
-            out.append("connected: unknown")
-        else:
-            out.append("connected: " + ("yes" if self.connected else "no"))
-        if self.witness is not None:
-            out.append(f"idempotent: {self.ring.render(self.witness)}")
+        ] + connected_lines(self.ring, self.connected, self.witness)
         out.append(
             "stabilizes: "
             + (f"at {self.stabilization_index}" if self.stabilization_index else "no")

@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thickgen.cli import run_script
@@ -274,6 +274,93 @@ def test_obstruct_floor_is_two():
     assert code == 1
 
 
+ZMOD8 = "ring R = Zmod 8\nideal I over R = (2)\n"
+ONE_RANK = "ring R = Z\ncomplex K over R = { deg 0..0 ; rank(0) = 1 }\n"
+
+
+@pytest.mark.parametrize(
+    "script,stderr",
+    [
+        (ZMOD8 + "obstruct R I --max 1\n", "line 3, col 20: --max must be at least 2"),
+        (ZMOD8 + "nilpotence R I --max 0\n", "line 3, col 22: --max must be at least 1"),
+        (ZMOD8 + "nilpotence R I -max 3\n", "line 3, col 16: expected --max"),
+        (ZMOD8 + "obstruct R I --min 3\n", "line 3, col 14: expected --max"),
+        ("ring R = Z\nwitness-principal R (2) 0\n", "line 2, col 25: power must be at least 1"),
+        ("ring R = Z\nwitness-principal R 2 3\n", "line 2, col 21: expected '(', found '2'"),
+        (ZMOD8 + "koszul I as\n", "line 4, col 1: expected binding name, found ''"),
+        (ZMOD8 + "koszul I as R\n", "line 3, col 1: name 'R' is already bound"),
+        (ONE_RANK + "thick-member K\n", "line 4, col 1: expected name, found ''"),
+        ("spec 3\n", "line 1, col 6: expected name, found '3'"),
+        ("frobnicate X\n", "line 1, col 1: unknown statement 'frobnicate'"),
+        ("ring R = Z\nlevel-foo X\n", "line 2, col 1: unknown statement 'level'"),
+        (
+            ZMOD8 + "koszul I as K\nideal J over K = (2)\n",
+            "line 4, col 14: 'K' is bound to a pending result, expected ring",
+        ),
+        ("ideal J over K = (2)\n", "line 1, col 14: unknown name 'K'"),
+        ("ring R = Z\nideal I on R = (2)\n", "line 2, col 9: expected 'over', found 'on'"),
+        ("ring R = poly Q [x,]\n", "line 1, col 20: expected variable, found ']'"),
+        ("ring R = Z\nideal I over R = (2, 3\n", "line 3, col 1: expected ')', found ''"),
+        (
+            "ring R = Z\ncomplex K over R = { deg 0..1 ; d(0 = [[2]] }\n",
+            "line 2, col 37: expected ')', found '='",
+        ),
+        (
+            "ring R = Z\ncomplex K over R = { deg 0..1 ; rank(0) = 1 ; rank(0) = 2 }\n",
+            "line 2, col 47: duplicate rank(0) entry",
+        ),
+        (
+            ONE_RANK + "map f : K -> K = { c(0) = [[1]] ; c(0) = [[1]] }\n",
+            "line 3, col 35: duplicate c(0) block",
+        ),
+        (ONE_RANK + "map f : K -> K = { c(0 = [[1]] }\n", "line 3, col 24: expected ')', found '='"),
+        (ONE_RANK + "map f : K -> K = { d(0) = [[1]] }\n", "line 3, col 20: expected c(...), found 'd'"),
+        (ONE_RANK + "map f : R -> K = { }\n", "line 3, col 9: 'R' is bound to a ring, expected complex"),
+        (
+            "ring R = Z\ncomplex K over R = { deg 0..1 ; d(0) = [[2, 3 }\n",
+            "line 2, col 47: expected ']', found '}'",
+        ),
+    ],
+    ids=[
+        "obstruct-floor",
+        "nilpotence-floor",
+        "single-dash-flag",
+        "wrong-flag",
+        "power-floor",
+        "bare-expr",
+        "as-without-name",
+        "as-rebinds",
+        "missing-argument",
+        "int-for-name",
+        "unknown-statement",
+        "unknown-hyphenated",
+        "pending-kind",
+        "unknown-binding",
+        "over-keyword",
+        "var-list-trailing-comma",
+        "ideal-unclosed",
+        "d-index-unclosed",
+        "duplicate-rank",
+        "duplicate-c",
+        "c-index-unclosed",
+        "map-entry-not-c",
+        "map-source-kind",
+        "matrix-row-unclosed",
+    ],
+)
+def test_parse_error_bytes(script, stderr):
+    assert run_machine(script) == (1, "", f"parse error: {stderr}\n")
+
+
+@pytest.mark.parametrize(
+    "literal,describe", [("poly Q [x]", "Q[x]"), ("poly Q [x,y]", "Q[x,y] (grevlex)")]
+)
+def test_polynomial_division_error_names_the_ring(literal, describe):
+    script = f"ring R = {literal}\nideal I over R = (3/x)\n"
+    stderr = f"parse error: line 2, col 18: x does not divide 3 in {describe}\n"
+    assert run_machine(script) == (1, "", stderr)
+
+
 def reparse_complex(X):
     script = f"ring R = {render_ring(X.ring)}\ncomplex X over R = {render_complex(X)}\n"
     return parse_script(script).get("X", "complex")
@@ -385,6 +472,41 @@ def run_machine(text):
 @settings(max_examples=150, deadline=None)
 @given(script=fuzz_script())
 def test_fuzzed_scripts_end_with_an_exit_code_and_repeat(script):
+    first = run_machine(script)
+    code, out, _ = first
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out == ""
+    assert run_machine(script) == first
+
+
+# ---------------------------------------------------------- token-level fuzz
+
+TOKEN_PRELUDE = (
+    "ring R = Zmod 12\n"
+    "ideal I over R = (2)\n"
+    "complex X over R = { deg 0..1 ; d(0) = [[2]] }\n"
+)
+
+LEXICON = (
+    # keywords, ring heads and literal words
+    ["ring", "ideal", "complex", "map", "over", "as", "deg", "d", "rank", "c"]
+    + ["Z", "Q", "Zmod", "Fp", "F5", "poly", "polyquot", "lex", "grevlex", "x"]
+    # command words, bound names and unbound names
+    + ["koszul", "homology", "ann", "support", "thick-member", "level-lb"]
+    + ["witness-principal", "validate-witness", "spec", "idempotents"]
+    + ["nilpotence", "obstruct", "R", "I", "X", "K", "W", "U", "max"]
+    + ["0", "1", "2", "3", "7", "12"]
+    + ["->", "..", "--"] + list("-+*/^()[]{};,=:")
+    + ["\n"] * 4
+)
+
+
+@example(soup=["witness-principal", "R", "(", "2", ")", "3", "as", "W"])
+@settings(max_examples=200, deadline=None)
+@given(soup=st.lists(st.sampled_from(LEXICON), max_size=30))
+def test_token_soup_ends_with_an_exit_code_and_repeats(soup):
+    script = TOKEN_PRELUDE + " ".join(soup) + "\n"
     first = run_machine(script)
     code, out, _ = first
     assert code in (0, 1, 2)
