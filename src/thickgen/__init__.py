@@ -24,7 +24,6 @@ from .generation import (
     LowerBoundCert,
     NotInThickCert,
     Sum,
-    Summand,
     koszul_power_obstruction,
     level_lower_bound,
     principal_power_witness,
@@ -69,7 +68,6 @@ __all__ = [
     "LowerBoundCert",
     "NotInThickCert",
     "Sum",
-    "Summand",
     "koszul_power_obstruction",
     "level_lower_bound",
     "principal_power_witness",

@@ -1,8 +1,13 @@
 """Bounded complexes of finite free modules and chain maps.
 
 Cohomological indexing throughout: the differential in degree n maps
-X^n to X^(n+1), so diffs[n] has shape rank(n+1) x rank(n).  Structural
-checks (d after d = 0, commuting squares) run at construction.
+X^n to X^(n+1), so diffs[n] has shape rank(n+1) x rank(n).  A complex
+keeps its differentials and a chain map its components as blocks by
+degree, only those with both sides nonzero; `_blocks` checks each given
+block's ring and shape, and the structural checks (d after d = 0,
+commuting squares) follow at construction.  The canonical maps of
+direct sums and cones are built from selector blocks [0 | I | 0] and
+their transposes.
 
 Sign conventions:
   - shift(X, k) reindexes by k and scales the differential by (-1)^k,
@@ -15,6 +20,33 @@ from .matrices import Matrix
 from .rings import RingElem
 
 
+def _blocks(ring, blocks, shape, what, label):
+    """The blocks of a complex or chain map with both sides nonzero,
+    sorted by degree; None entries are skipped, and every other block is
+    checked for its ring and for the shape(n) its degree needs."""
+    clean = {}
+    for n, M in blocks.items():
+        if M is None:
+            continue
+        if M.ring != ring:
+            raise RingMismatchError(f"{what} over the wrong ring")
+        need = shape(n)
+        if M.shape() != need:
+            raise ComplexFormatError(
+                f"{label}({n}) has shape {M.shape()}, expected {need}", degree=n
+            )
+        if need[0] and need[1]:
+            clean[n] = M
+    return dict(sorted(clean.items()))
+
+
+def _selector(ring, before, r, after):
+    """The r x (before + r + after) matrix [0 | I_r | 0]."""
+    z = ring.zero()
+    rows = [[z] * (before + i) + [ring.one()] + [z] * (r - 1 - i + after) for i in range(r)]
+    return Matrix(ring, rows, r, before + r + after)
+
+
 class FreeComplex:
     __slots__ = ("ring", "ranks", "diffs")
 
@@ -23,28 +55,17 @@ class FreeComplex:
         for n, r in ranks.items():
             if r < 0:
                 raise ComplexFormatError(f"negative rank in degree {n}", degree=n)
-        clean = {}
-        for n, d in diffs.items():
-            need_rows = ranks.get(n + 1, 0)
-            need_cols = ranks.get(n, 0)
-            if d is None:
-                continue
-            if d.ring != ring:
-                raise RingMismatchError("differential over the wrong ring")
-            if d.shape() != (need_rows, need_cols):
-                raise ComplexFormatError(
-                    f"d({n}) has shape {d.shape()}, expected {(need_rows, need_cols)}",
-                    degree=n,
-                )
-            if need_rows and need_cols:
-                clean[n] = d
         self.ring = ring
         self.ranks = dict(sorted(ranks.items()))
+        clean = _blocks(
+            ring, diffs, lambda n: (self.rank(n + 1), self.rank(n)), "differential", "d"
+        )
         # materialize zero differentials wherever both ends are nonzero
-        for n in self.ranks:
-            if self.ranks.get(n + 1, 0) and n not in clean:
-                clean[n] = Matrix.zero(ring, self.ranks[n + 1], self.ranks[n])
-        self.diffs = dict(sorted(clean.items()))
+        self.diffs = {
+            n: clean[n] if n in clean else Matrix.zero(ring, self.rank(n + 1), r)
+            for n, r in self.ranks.items()
+            if self.rank(n + 1)
+        }
         for n, d in self.diffs.items():
             nxt = self.diffs.get(n + 1)
             if nxt is not None and not (nxt @ d).is_zero():
@@ -137,38 +158,22 @@ def direct_sum(complexes):
 
 
 def summand_injection(complexes, which):
-    """Chain map incl: complexes[which] -> direct_sum(complexes)."""
-    total = direct_sum(complexes)
-    src = complexes[which]
-    ring = total.ring
-    comps = {}
-    for n in src.degrees():
-        before = sum(c.rank(n) for c in complexes[:which])
-        rows = []
-        for i in range(total.rank(n)):
-            row = [ring.zero()] * src.rank(n)
-            if before <= i < before + src.rank(n):
-                row[i - before] = ring.one()
-            rows.append(row)
-        comps[n] = Matrix(ring, rows, total.rank(n), src.rank(n))
-    return ChainMap(src, total, comps)
+    """Chain map incl: complexes[which] -> direct_sum(complexes), the
+    projection transposed in every degree."""
+    proj = summand_projection(complexes, which)
+    return ChainMap(proj.dst, proj.src, {n: M.transpose() for n, M in proj.comps.items()})
 
 
 def summand_projection(complexes, which):
     """Chain map proj: direct_sum(complexes) -> complexes[which]."""
     total = direct_sum(complexes)
-    dst = complexes[which]
-    ring = total.ring
+    part = complexes[which]
     comps = {}
-    for n in dst.degrees():
+    for n in part.degrees():
         before = sum(c.rank(n) for c in complexes[:which])
-        rows = []
-        for i in range(dst.rank(n)):
-            row = [ring.zero()] * total.rank(n)
-            row[before + i] = ring.one()
-            rows.append(row)
-        comps[n] = Matrix(ring, rows, dst.rank(n), total.rank(n))
-    return ChainMap(total, dst, comps)
+        after = total.rank(n) - before - part.rank(n)
+        comps[n] = _selector(total.ring, before, part.rank(n), after)
+    return ChainMap(total, part, comps)
 
 
 class ChainMap:
@@ -177,22 +182,15 @@ class ChainMap:
     def __init__(self, src, dst, comps):
         if src.ring != dst.ring:
             raise RingMismatchError("chain map between complexes over different rings")
-        clean = {}
-        for n, M in comps.items():
-            if M is None:
-                continue
-            need = (dst.rank(n), src.rank(n))
-            if M.ring != src.ring:
-                raise RingMismatchError("chain map component over the wrong ring")
-            if M.shape() != need:
-                raise ComplexFormatError(
-                    f"component c({n}) has shape {M.shape()}, expected {need}", degree=n
-                )
-            if need[0] and need[1]:
-                clean[n] = M
         self.src = src
         self.dst = dst
-        self.comps = dict(sorted(clean.items()))
+        self.comps = _blocks(
+            src.ring,
+            comps,
+            lambda n: (dst.rank(n), src.rank(n)),
+            "chain map component",
+            "component c",
+        )
         for n in set(src.ranks) | set(dst.ranks):
             left = dst.diff(n) @ self.comp(n)
             right = self.comp(n + 1) @ src.diff(n)
@@ -287,37 +285,19 @@ def cone(f):
 
 def cone_inclusion(f):
     """Y -> cone(f), the canonical inclusion."""
-    C = cone(f)
-    Y = f.dst
-    ring = Y.ring
-    comps = {}
-    for n in Y.degrees():
-        X1 = f.src.rank(n + 1)
-        block = Matrix.vstack(
-            ring,
-            [Matrix.zero(ring, X1, Y.rank(n)), Matrix.identity(ring, Y.rank(n))],
-            ncols=Y.rank(n),
-        )
-        comps[n] = block
-    return ChainMap(Y, C, comps)
+    X, Y = f.src, f.dst
+    comps = {
+        n: _selector(Y.ring, X.rank(n + 1), Y.rank(n), 0).transpose() for n in Y.degrees()
+    }
+    return ChainMap(Y, cone(f), comps)
 
 
 def cone_projection(f):
     """cone(f) -> shift(X, 1), the canonical projection."""
-    C = cone(f)
-    SX = f.src.shift(1)
-    ring = C.ring
-    comps = {}
-    for n in SX.degrees():
-        X1 = f.src.rank(n + 1)
-        Yn = f.dst.rank(n)
-        block = Matrix.hstack(
-            ring,
-            [Matrix.identity(ring, X1), Matrix.zero(ring, X1, Yn)],
-            nrows=X1,
-        )
-        comps[n] = block
-    return ChainMap(C, SX, comps)
+    X, Y = f.src, f.dst
+    SX = X.shift(1)
+    comps = {n: _selector(X.ring, 0, X.rank(n + 1), Y.rank(n)) for n in SX.degrees()}
+    return ChainMap(cone(f), SX, comps)
 
 
 def tensor(X, Y):
@@ -448,26 +428,11 @@ def _random_transforms(ring, rng, X):
             if i == j:
                 continue
             c = ring.from_int(rng.randint(-2, 2))
-            E = Matrix.build(
-                ring,
-                r,
-                r,
-                lambda a, b, i=i, j=j, c=c: (
-                    ring.one() if a == b else (c if (a, b) == (i, j) else ring.zero())
-                ),
-            )
-            Einv = Matrix.build(
-                ring,
-                r,
-                r,
-                lambda a, b, i=i, j=j, c=c: (
-                    ring.one()
-                    if a == b
-                    else (ring.neg(c) if (a, b) == (i, j) else ring.zero())
-                ),
-            )
-            P = E @ P
-            Pinv = Pinv @ Einv
+            E = Matrix.identity(ring, r).to_lists()
+            Einv = Matrix.identity(ring, r).to_lists()
+            E[i][j], Einv[i][j] = c, ring.neg(c)
+            P = Matrix(ring, E, r, r) @ P
+            Pinv = Pinv @ Matrix(ring, Einv, r, r)
         transforms[n] = (P, Pinv)
     return transforms
 
@@ -489,43 +454,12 @@ def random_chain_map(ring, rng, max_rank=4, degree_span=4):
     shared blocks plus a random null-homotopic part."""
     X, blocks, tX = random_complex(ring, rng, max_rank, degree_span)
     # Y shares a prefix of X's blocks, plus its own extras
-    shared = blocks[: rng.randint(1, len(blocks))]
-    pieces_shared = _block_pieces(ring, shared)
+    shared = _block_pieces(ring, blocks[: rng.randint(1, len(blocks))])
     Y_extra = random_complex(ring, rng, max_rank, degree_span)[0]
-    Y_plain = direct_sum([direct_sum(pieces_shared), Y_extra])
+    Y_plain = direct_sum([direct_sum(shared), Y_extra])
     tY = _random_transforms(ring, rng, Y_plain)
     Y = _conjugate(Y_plain, tY)
-
-    # block-diagonal scalar map on the shared prefix (same differentials,
-    # so any scalar commutes), zero into the extras; shared pieces sit at
-    # the same block offsets in X_plain and Y_plain by construction
-    X_plain_pieces = _block_pieces(ring, blocks)
-    X_plain = direct_sum(X_plain_pieces)
     scalars = [ring.from_int(rng.randint(-3, 3)) for _ in shared]
-    comps = {}
-    for n in set(X_plain.ranks) | set(Y_plain.ranks):
-        rows = Y_plain.rank(n)
-        cols = X_plain.rank(n)
-        if not rows or not cols:
-            continue
-        M = [[ring.zero()] * cols for _ in range(rows)]
-        roff = 0
-        for bi, c in enumerate(scalars):
-            piece = pieces_shared[bi]
-            coff = sum(X_plain_pieces[k].rank(n) for k in range(bi))
-            for i in range(piece.rank(n)):
-                M[roff + i][coff + i] = c
-            roff += piece.rank(n)
-        comps[n] = Matrix(ring, M, rows, cols)
-    f_plain = ChainMap(X_plain, Y_plain, comps)
-
-    # transport through the conjugations, then add a null homotopy
-    comps2 = {}
-    for n in set(X.ranks) | set(Y.ranks):
-        if not Y.rank(n) or not X.rank(n):
-            continue
-        comps2[n] = tY[n][0] @ f_plain.comp(n) @ tX[n][1]
-    f = ChainMap(X, Y, comps2)
     h = {
         n: Matrix.build(
             ring,
@@ -543,9 +477,17 @@ def random_chain_map(ring, rng, max_rank=4, degree_span=4):
             return Matrix.zero(ring, Y.rank(n - 1), X.rank(n))
         return M
 
-    null_comps = {}
-    for n in set(X.ranks) | set(Y.ranks):
-        if not Y.rank(n) or not X.rank(n):
-            continue
-        null_comps[n] = Y.diff(n - 1) @ h_at(n) + h_at(n + 1) @ X.diff(n)
-    return f + ChainMap(X, Y, null_comps)
+    # before the conjugations: each scalar on its shared block (the same
+    # differentials, so any scalar commutes), zero into the extras; the
+    # shared blocks lead both X and Y, so they sit on the diagonal
+    z = ring.zero()
+    comps = {}
+    for n in set(X.ranks) & set(Y.ranks):
+        diag = [c for c, piece in zip(scalars, shared) for _ in range(piece.rank(n))]
+        plain = Matrix.build(
+            ring, Y.rank(n), X.rank(n), lambda i, j: diag[i] if i == j < len(diag) else z
+        )
+        # transport through the conjugations, then add a null homotopy
+        null = Y.diff(n - 1) @ h_at(n) + h_at(n + 1) @ X.diff(n)
+        comps[n] = tY[n][0] @ plain @ tX[n][1] + null
+    return ChainMap(X, Y, comps)

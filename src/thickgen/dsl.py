@@ -94,7 +94,8 @@ class Session:
             raise EngineError(f"unknown name {name!r}")
         kind, value = self.bindings[name]
         if kind != want:
-            raise EngineError(f"{name!r} is bound to a {kind}, expected {want}")
+            article = "an" if kind[0] in "aeiou" else "a"
+            raise EngineError(f"{name!r} is bound to {article} {kind}, expected {want}")
         return value
 
 

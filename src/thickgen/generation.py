@@ -5,8 +5,7 @@ generated through Koszul complexes of ideal powers.
 
 A build witness is a tree proving "X can be assembled from G with k
 levels": leaves are shifted copies of G, Sum nodes take finite direct
-sums, Summand nodes pass to direct summands (with both isomorphisms
-recorded), and every Cone node glues one extra level onto its base.
+sums, and every Cone node glues one extra level onto its base.
 `realize` checks while it builds: every node it realizes replays its
 structural checks, so validating a witness is one walk of the tree and
 a certificate is only as good as exact arithmetic.
@@ -67,15 +66,6 @@ class Cone:
 
 
 @dataclass
-class Summand:
-    child: object
-    target: object  # FreeComplex kept as the witnessed object
-    complement: object
-    iso: ChainMap  # realize(child) -> target (+) complement
-    iso_inv: ChainMap
-
-
-@dataclass
 class BuildWitness:
     root: object
     comparison: ChainMap = None  # quasi-iso between realize(root) and X
@@ -88,8 +78,6 @@ def level(node):
         return max((level(c) for c in node.children), default=1)
     if isinstance(node, Cone):
         return level(node.base) + 1
-    if isinstance(node, Summand):
-        return level(node.child)
     raise TypeError(f"not a witness node: {node!r}")
 
 
@@ -129,30 +117,6 @@ def realize(node, G, path="root"):
                 )
             _replay_chain_map(node.glue)
             return cone(node.glue)
-        if isinstance(node, Summand):
-            child = realize(node.child, G, f"{path}.child")
-            total = direct_sum([node.target, node.complement])
-            if node.iso.src != child or node.iso.dst != total:
-                raise WitnessValidationError(
-                    f"{path}.iso", "isomorphism endpoints do not match"
-                )
-            if node.iso_inv.src != total or node.iso_inv.dst != child:
-                raise WitnessValidationError(
-                    f"{path}.iso_inv", "inverse endpoints do not match"
-                )
-            _replay_chain_map(node.iso)
-            _replay_chain_map(node.iso_inv)
-            round1 = node.iso_inv.compose(node.iso)
-            round2 = node.iso.compose(node.iso_inv)
-            if round1 != ChainMap.identity(child):
-                raise WitnessValidationError(
-                    f"{path}.iso", "iso_inv after iso is not the identity"
-                )
-            if round2 != ChainMap.identity(total):
-                raise WitnessValidationError(
-                    f"{path}.iso", "iso after iso_inv is not the identity"
-                )
-            return node.target
         raise WitnessValidationError(path, f"unknown node {node!r}")
     except WitnessValidationError:
         raise
@@ -264,6 +228,8 @@ def level_lower_bound(X, G, cap=LEVEL_SEARCH_CAP):
                 note="support of the target is not contained in the support "
                 "of the generator",
             )
+    # past the radical check a power of the one generator of ann(H* G)
+    # lies in ann(H* X), so the powers cannot freeze short of containment
     prev_witness = None
     for k in range(1, cap + 1):
         power = aG.power(k)
@@ -281,15 +247,6 @@ def level_lower_bound(X, G, cap=LEVEL_SEARCH_CAP):
         prev_witness = next(
             (g for g in power.normal_gens if not aX.member(g)), None
         )
-        if aG.power(k + 1) == power:
-            # powers froze short of containment: no finite level exists
-            return NotInThickCert(
-                missing_gen=prev_witness,
-                support_x=supph(X),
-                support_g=supph(G),
-                note="annihilator powers stabilize without ever landing in "
-                "the target annihilator; no finite level",
-            )
     raise LevelBoundExceededError(f"no containment within {cap} powers")
 
 
@@ -322,14 +279,6 @@ def koszul_power_obstruction(I, n):
         raise EngineError("obstruction needs a proper ideal")
     if n < 1:
         raise ValueError("power must be at least 1")
-    if n == 1:
-        return LowerBoundCert(
-            level=1,
-            generator_ann=I,
-            target_ann=I,
-            witness=None,
-            note="level one is trivial for a complex with nonzero homology",
-        )
     p_prev = I.power(n - 1)
     p_n = I.power(n)
     witness = next(
@@ -402,7 +351,7 @@ def principal_power_witness(x, n):
             -1: [ring.zero()] + q[-1],
             0: [ring.neg(ring.one())] + [ring.mul(x.payload, c) for c in q[0]],
         }
-    target = koszul(Ideal(ring, [x]).power(n))
+    target = koszul(Ideal(ring, [x**n]))
     comparison = ChainMap(
         C,
         target,

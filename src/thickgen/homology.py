@@ -74,16 +74,21 @@ class FPModule:
 
 
 def fp_direct_sum(a, b):
-    """Invariant-factor form of a (+) b, recomputed from one diagonal
-    presentation over the cover ring so the divisibility chain is
-    restored; each free summand is presented by the modulus."""
+    """Invariant-factor form of a (+) b over ring = D/(mu): each factor
+    f becomes the canonical generator gcd(f, mu) of its lifted ideal and
+    each free summand the modulus, and this diagonal over D is swept
+    pairwise into (gcd, lcm) until each entry divides the next, which is
+    its Smith form."""
     if a.ring != b.ring:
         raise TierError("direct sum of modules over different rings")
     ring = a.ring
-    diag = [ring.lift(f) for f in a.factors + b.factors]
+    cover = ring.cover_ring
+    diag = [cover.gcd(ring.lift(f), ring.modulus) for f in a.factors + b.factors]
     diag += [ring.modulus] * (a.free_rank + b.free_rank)
-    snf = smith_normal_form(Matrix.diagonal(ring.cover_ring, diag))
-    return _read_invariants(ring, len(diag), snf.diagonal)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = cover.gcd(diag[i], diag[j]), cover.lcm(diag[i], diag[j])
+    return _read_invariants(ring, len(diag), diag)
 
 
 def _read_invariants(ring, k, diagonal):

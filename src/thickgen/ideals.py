@@ -123,8 +123,6 @@ class Ideal:
         prods = [ring.mul(a, b) for a in mine for b in theirs]
         return Ideal(ring, [RingElem(ring, p) for p in prods])
 
-    __mul__ = product
-
     def power(self, n):
         """I^n.  Each ideal keeps the powers I^2, I^3, ... it has built,
         so a ladder over n costs one product per new rung."""
@@ -138,8 +136,6 @@ class Ideal:
         while len(powers) < n - 1:
             powers.append((powers[-1] if powers else self).product(self))
         return powers[n - 2]
-
-    __pow__ = power
 
     def powers_stabilize(self, max_n):
         """Least n <= max_n with I^n == I^(n+1), else None."""

@@ -5,7 +5,6 @@ show up constantly as differentials at the ends of complexes).
 """
 
 from .errors import RingMismatchError
-from .rings import RingElem
 
 
 class Matrix:
@@ -47,22 +46,6 @@ class Matrix:
         return cls(ring, [[c if i == j else z for j in range(n)] for i in range(n)], n, n)
 
     @classmethod
-    def diagonal(cls, ring, entries, nrows=None, ncols=None):
-        entries = list(entries)
-        nrows = len(entries) if nrows is None else nrows
-        ncols = len(entries) if ncols is None else ncols
-        z = ring.zero()
-        return cls(
-            ring,
-            [
-                [entries[i] if i == j and i < len(entries) else z for j in range(ncols)]
-                for i in range(nrows)
-            ],
-            nrows,
-            ncols,
-        )
-
-    @classmethod
     def from_elems(cls, ring, rows, nrows=None, ncols=None):
         data = [[ring.elem(x).payload for x in r] for r in rows]
         return cls(ring, data, nrows, ncols)
@@ -75,9 +58,6 @@ class Matrix:
 
     def entry(self, i, j):
         return self.rows[i][j]
-
-    def elem(self, i, j):
-        return RingElem(self.ring, self.rows[i][j])
 
     def col(self, j):
         return tuple(self.rows[i][j] for i in range(self.nrows))

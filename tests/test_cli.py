@@ -361,6 +361,31 @@ def test_polynomial_division_error_names_the_ring(literal, describe):
     assert run_machine(script) == (1, "", stderr)
 
 
+def test_wrong_binding_kind_takes_its_article():
+    stderr = "error: 'I' is bound to an ideal, expected ring\n"
+    assert run_machine(ZMOD8 + "obstruct I I --max 3\n") == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "literal,elem,shown,n,target",
+    [
+        ("Z", "-2", "-2", 3, "[[-8]]"),
+        ("Q", "2", "2", 2, "[[4]]"),
+        ("poly Q [x]", "2*x", "2*x", 3, "[[8*x^3]]"),
+        ("Z", "2", "2", 3, "[[8]]"),
+        ("Zmod 12", "-2", "10", 2, "[[4]]"),
+    ],
+    ids=["Z-negative", "Q", "Q[x]", "Z", "Z/12-negative"],
+)
+def test_witness_principal_targets_the_power_of_the_element(literal, elem, shown, n, target):
+    script = f"ring R = {literal}\nwitness-principal R ({elem}) {n}\n"
+    stdout = (
+        f"command: witness-principal\nelement: {shown}\npower: {n}\n"
+        f"level: {n}\ncones: {n - 1}\ntarget: {{ deg -1..0 ; d(-1) = {target} }}\n"
+    )
+    assert run_machine(script) == (0, stdout, "")
+
+
 def reparse_complex(X):
     script = f"ring R = {render_ring(X.ring)}\ncomplex X over R = {render_complex(X)}\n"
     return parse_script(script).get("X", "complex")

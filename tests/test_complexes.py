@@ -11,6 +11,7 @@ from thickgen.complexes import (
     cone_inclusion,
     cone_projection,
     direct_sum,
+    free_singleton,
     is_quasi_iso,
     koszul,
     random_chain_map,
@@ -107,6 +108,20 @@ def test_direct_sum_and_summand_maps():
     proj = summand_projection([X, Y], 0)
     assert proj.compose(inj) == ChainMap.identity(X)
     assert S.rank(-1) == X.rank(-1) + Y.rank(-1)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)])
+def test_summand_maps_of_three_summands(ring):
+    parts = [two_term(ring, 2), free_singleton(ring, -1, 2), two_term(ring, 3).shift(1)]
+    inj = summand_injection(parts, 1)
+    assert summand_projection(parts, 1).compose(inj) == ChainMap.identity(parts[1])
+    for k in (0, 2):
+        assert summand_projection(parts, k).compose(inj).is_zero()
+
+
+def test_cone_projection_after_inclusion_is_zero_over_qx():
+    f = random_chain_map(poly_ring(QQ, ["x"]), random.Random(3))
+    assert cone_projection(f).compose(cone_inclusion(f)).is_zero()
 
 
 def test_zero_complex_is_neutral_for_sum():

@@ -175,6 +175,45 @@ def test_tampered_glue_is_rejected_with_path():
     assert "root" in str(err.value)
 
 
+def _witness_case(case):
+    """(witness, target) that fails validation against koszul((2))."""
+    G = koszul(Ideal(ZZ, [2]))
+    if case == "tall-top":
+        tall = principal_power_witness(ZZ.elem(2), 2)[0].root
+        return BuildWitness(Cone(Leaf(0), tall, ChainMap.identity(G))), G
+    if case == "glue-source":
+        return BuildWitness(Cone(Leaf(0), Leaf(0), ChainMap.identity(G))), G
+    if case == "glue-target":
+        return BuildWitness(Cone(Leaf(0), Leaf(0), ChainMap.identity(G.shift(-1)))), G
+    if case == "not-quasi-iso":
+        return BuildWitness(Leaf(0), comparison=ChainMap(G, G, {})), G
+    if case == "disjoint-comparison":
+        return BuildWitness(Leaf(0), comparison=ChainMap.identity(G.shift(1))), G
+    return BuildWitness(Leaf(0)), koszul(Ideal(ZZ, [4]))
+
+
+@pytest.mark.parametrize(
+    "case,path,reason",
+    [
+        ("tall-top", "root.top", "cone tops must stay at level one"),
+        ("glue-source", "root.glue", "glue source is not the desuspended top"),
+        ("glue-target", "root.glue", "glue target is not the realized base"),
+        ("not-quasi-iso", "comparison", "comparison map is not a quasi-isomorphism"),
+        (
+            "disjoint-comparison",
+            "comparison",
+            "comparison map does not join the realization and the target",
+        ),
+        ("no-comparison", "root", "realization differs from the target and no comparison map given"),
+    ],
+)
+def test_invalid_witness_names_path_and_reason(case, path, reason):
+    witness, target = _witness_case(case)
+    with pytest.raises(WitnessValidationError) as err:
+        validate_witness(witness, target, koszul(Ideal(ZZ, [2])))
+    assert (err.value.path, err.value.reason) == (path, reason)
+
+
 def test_wrong_target_is_rejected():
     witness, target = principal_power_witness(ZZ.elem(2), 2)
     with pytest.raises(WitnessValidationError):
@@ -199,6 +238,16 @@ def test_obstruction_over_z_is_homology_checked():
     assert cert.level == 5
     assert int(cert.witness.payload) == 16
     assert "verified by homology" in cert.note
+
+
+@pytest.mark.parametrize(
+    "ring,gens", [(ZZ, [2]), (poly_ring(QQ, ["x", "y"]), None)], ids=["Z", "Q[x,y]"]
+)
+def test_obstruction_at_power_one_is_level_one(ring, gens):
+    I = Ideal(ring, gens or [ring.var_elem(0), ring.var_elem(1)])
+    cert = koszul_power_obstruction(I, 1)
+    assert cert.level == 1
+    assert ring.is_one(cert.witness.payload)
 
 
 def test_obstruction_stabilized_powers_raise():

@@ -9,6 +9,8 @@ import pytest
 from thickgen.complexes import ChainMap, FreeComplex, cone, koszul, random_chain_map, two_term
 from thickgen.errors import TierError
 from thickgen.homology import (
+    FPModule,
+    _read_invariants,
     ann_total_homology,
     closed_set,
     fp_direct_sum,
@@ -19,7 +21,7 @@ from thickgen.homology import (
 from thickgen.ideals import Ideal
 from thickgen.matrices import Matrix
 from thickgen.polys import uni_deg
-from thickgen.rings import QQ, ZZ, UniQuotRing, Zmod, poly_ring
+from thickgen.rings import GF, QQ, ZZ, RingElem, UniQuotRing, Zmod, poly_ring
 from thickgen.snf import smith_normal_form
 
 from oracles import TWO_TERM_H0, minor_gcd_invariants
@@ -84,6 +86,39 @@ def test_fp_direct_sum_restores_divisibility():
     # Z/4 + Z/6 = Z/2 + Z/12 in invariant-factor form
     assert _module_signature(S) == (0, [2, 12])
     assert S.ann() == Ideal(ZZ, [12])
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ZZ, Zmod(12), poly_ring(GF(5), ["t"]), poly_ring(QQ, ["x"])],
+    ids=["Z", "Z/12", "F5[t]", "Q[x]"],
+)
+def test_fp_direct_sum_is_the_smith_form_of_the_diagonal(ring):
+    rng = random.Random(17)
+    cover = ring.cover_ring
+
+    def random_module():
+        factors = []
+        for _ in range(rng.randint(0, 3)):
+            f = Ideal(ring, [RingElem(ring, ring.random_element(rng))]).normal_payloads[0]
+            if not ring.is_zero(f) and not ring.is_unit(f):
+                factors.append(f)
+        return FPModule(ring, rng.randint(0, 2), tuple(factors))
+
+    for _ in range(30):
+        a, b = random_module(), random_module()
+        diag = [ring.lift(f) for f in a.factors + b.factors]
+        diag += [ring.modulus] * (a.free_rank + b.free_rank)
+        k = len(diag)
+        D = Matrix(cover, [[diag[i] if i == j else cover.zero() for j in range(k)] for i in range(k)], k, k)
+        expected = _read_invariants(ring, k, smith_normal_form(D).diagonal)
+        assert fp_direct_sum(a, b) == expected
+
+
+def test_fp_direct_sum_reads_a_factor_through_its_ideal():
+    R = Zmod(12)
+    # (10) = (2) in Z/12; the lcm of 10 and 12 would read as the factor 0
+    assert fp_direct_sum(FPModule(R, 0, (10,)), FPModule(R, 1, ())) == FPModule(R, 1, (2,))
 
 
 def test_fp_direct_sum_over_quotient_ring():

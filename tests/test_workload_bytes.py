@@ -1,0 +1,64 @@
+"""The seed-1 scripts of the benchmark's three workloads print the
+committed bytes in --machine mode: for every script, the exit code, the
+stderr text and the sha256 of stdout kept in tests/golden/.
+
+The scripts come from `perfbench/workloads.py`, loaded by path and only
+read.  After an intended output change, rewrite the golden file with
+
+    PYTHONPATH=src python tests/test_workload_bytes.py
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from thickgen.cli import run_script
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
+GOLDEN = ROOT / "tests" / "golden" / "workload_seed1.json"
+SEED = 1
+
+
+def load_workloads():
+    # workloads.py imports its sibling arith.py as a top-level module
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module.WORKLOADS
+
+
+def run_batch(generate):
+    """Script label -> [exit code, sha256 of stdout, stderr]."""
+    out = {}
+    for i, script in enumerate(generate(SEED)):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run_script(script.text, machine=True, out=stdout)
+        digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+        out[f"{i:03d}-{script.name}"] = [code, digest, stderr.getvalue()]
+    return out
+
+
+WORKLOADS = load_workloads()
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_bytes_match_golden(workload):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert run_batch(WORKLOADS[workload]) == golden[workload]
+
+
+if __name__ == "__main__":
+    batches = {name: run_batch(WORKLOADS[name]) for name in sorted(WORKLOADS)}
+    GOLDEN.write_text(json.dumps(batches, indent=1, sort_keys=True) + "\n", encoding="utf-8")
