@@ -10,7 +10,7 @@ accepts, and re-parsing a rendered complex yields an equal complex.
 """
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .complexes import ChainMap, FreeComplex, koszul
 from .errors import ComplexFormatError, EngineError, ParseError
@@ -39,12 +39,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-@dataclass
-class Token:
-    kind: str  # "int" | "name" | "op" | "eof"
-    text: str
-    line: int
-    col: int
+# kind is "int", "name", "op" or "eof"
+Token = namedtuple("Token", "kind text line col")
 
 
 def tokenize(text):
@@ -72,17 +68,13 @@ def tokenize(text):
 # --------------------------------------------------------------- sessions
 
 
-@dataclass
-class Command:
-    name: str
-    args: tuple
-    line: int
+Command = namedtuple("Command", "name args line")
 
 
-@dataclass
 class Session:
-    bindings: dict = field(default_factory=dict)  # name -> (kind, value)
-    commands: list = field(default_factory=list)
+    def __init__(self):
+        self.bindings = {}  # name -> (kind, value)
+        self.commands = []
 
     def bind(self, name, kind, value, line):
         if name in self.bindings:

@@ -17,7 +17,7 @@ ann(H* G)^k <= ann(H* X), so the least k without a fresh witness
 element in ann(H* G)^(k-1) \\ ann(H* X) is a certified lower bound.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .complexes import (
     ChainMap,
@@ -48,27 +48,12 @@ LEVEL_SEARCH_CAP = 512
 # --------------------------------------------------------------- witnesses
 
 
-@dataclass
-class Leaf:
-    shift: int = 0
-
-
-@dataclass
-class Sum:
-    children: tuple
-
-
-@dataclass
-class Cone:
-    base: object
-    top: object
-    glue: ChainMap  # shift(realize(top), -1) -> realize(base)
-
-
-@dataclass
-class BuildWitness:
-    root: object
-    comparison: ChainMap = None  # quasi-iso between realize(root) and X
+Leaf = namedtuple("Leaf", "shift", defaults=(0,))
+Sum = namedtuple("Sum", "children")
+# glue: shift(realize(top), -1) -> realize(base)
+Cone = namedtuple("Cone", "base top glue")
+# comparison: a quasi-iso between realize(root) and X, or None
+BuildWitness = namedtuple("BuildWitness", "root comparison", defaults=(None,))
 
 
 def level(node):
@@ -159,13 +144,11 @@ def level_lines(k):
     return [f"level: {k}", f"cones: {k - 1}"]
 
 
-@dataclass
-class LowerBoundCert:
-    level: int
-    generator_ann: Ideal
-    target_ann: Ideal
-    witness: object  # RingElem in generator_ann^(level-1) \ target_ann, or None
-    note: str = ""
+class LowerBoundCert(
+    namedtuple("LowerBoundCert", "level generator_ann target_ann witness note", defaults=("",))
+):
+    """witness is a RingElem in generator_ann^(level-1) \\ target_ann, or
+    None."""
 
     kind = "lower-bound"
 
@@ -180,23 +163,18 @@ class LowerBoundCert:
         return out
 
 
-@dataclass
-class UpperBoundCert:
-    level: int
-    witness: BuildWitness
-
+class UpperBoundCert(namedtuple("UpperBoundCert", "level witness")):
     kind = "upper-bound"
 
     def lines(self):
         return [f"kind: {self.kind}"] + level_lines(self.level)
 
 
-@dataclass
-class NotInThickCert:
-    missing_gen: object  # RingElem of generator_ann outside sqrt(target_ann)
-    support_x: object
-    support_g: object
-    note: str = ""
+class NotInThickCert(
+    namedtuple("NotInThickCert", "missing_gen support_x support_g note", defaults=("",))
+):
+    """missing_gen is a RingElem of generator_ann outside
+    sqrt(target_ann)."""
 
     kind = "not-in-thick"
 
@@ -250,12 +228,7 @@ def level_lower_bound(X, G, cap=LEVEL_SEARCH_CAP):
     raise LevelBoundExceededError(f"no containment within {cap} powers")
 
 
-@dataclass
-class ThickMembership:
-    member: bool
-    support_x: object
-    support_g: object
-
+class ThickMembership(namedtuple("ThickMembership", "member support_x support_g")):
     def lines(self):
         out = [f"membership: {'yes' if self.member else 'no'}"]
         out.append(f"support-target: {self.support_x.render()}")
@@ -363,17 +336,14 @@ def principal_power_witness(x, n):
     return BuildWitness(root=node, comparison=comparison), target
 
 
-@dataclass
-class ObstructionReport:
-    ring: object
-    ideal: Ideal
-    max_n: int
-    connected: object
-    mode: str  # "obstruction" | "degenerate"
-    nilpotency_index: object
-    certificates: list = field(default_factory=list)
-    verdict: str = ""
-    note: str = ""
+class ObstructionReport(
+    namedtuple(
+        "ObstructionReport",
+        "ring ideal max_n connected mode nilpotency_index certificates verdict note",
+        defaults=((), "", ""),
+    )
+):
+    """mode is "obstruction" or "degenerate"."""
 
     def blocks(self):
         """Report blocks: the head, one block per certificate, the

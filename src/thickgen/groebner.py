@@ -1,5 +1,10 @@
-"""Buchberger's algorithm with the sugar selection strategy and both
-classical pair-skipping criteria, plus multivariate division.
+"""Buchberger's algorithm with the sugar selection strategy and the
+Gebauer-Moeller pair update, plus multivariate division.
+
+Each new basis element passes through one update step that applies
+criteria B, M and F (Gebauer-Moeller 1988; Becker-Weispfenning, GTM
+141, section 5.5), so pairs are pruned when they are created, never
+when they are taken.  Monomial inputs skip the pair loop.
 
 All routines work on MultiPolyRing payloads and are deterministic:
 pending S-pairs sit in a heap keyed by (sugar, lcm order key, i, j),
@@ -57,71 +62,75 @@ def s_polynomial(ring, f, g):
 def buchberger(ring, gens, counter=None):
     """Reduced Groebner basis of the listed payloads.
 
-    Pairs are processed in sugar order; the product criterion and the
-    chain criterion prune useless S-polynomials.
+    Monomial inputs need no S-pairs: their minimal set is the reduced
+    basis.  Otherwise each generator and each nonzero remainder enters
+    through the Gebauer-Moeller update, which prunes pairs when they are
+    created, and the pending pairs are taken in sugar order.
+    S-polynomials are reduced by every element found so far.
     """
     _require_multi(ring)
     F, key = ring.F, ring.key
     if counter is None:
         counter = StepCounter("buchberger")
+    gens = [polys.m_monic(F, g) for g in gens if g]
+    if all(len(g) == 1 for g in gens):
+        return reduce_basis(ring, gens, counter)
 
-    G = []
+    G = []  # every element found, in order; S-polynomials reduce by all of it
     sugars = []
+    active = []  # indices whose leading monomial no later element divides
+    pending = []  # heap of (sugar, key(lcm), i, j, lcm)
+
+    def update(h, sugar):
+        new, lm = len(G), h[0][0]
+        G.append(h)
+        sugars.append(sugar)
+        # criteria M and F: keep the first new pair of each minimal lcm.
+        # A proper divisor of an lcm has lower degree, so sorting by
+        # degree puts it first; among equal lcms a coprime pair sorts
+        # first, prunes the rest, and is dropped below, since coprime
+        # leading monomials make the S-polynomial reduce to zero.
+        cands = []
+        for k in active:
+            lcm = polys.exp_lcm(G[k][0][0], lm)
+            coprime = lcm == polys.exp_mul(G[k][0][0], lm)
+            cands.append((polys.exp_deg(lcm), not coprime, k, lcm))
+        cands.sort()
+        kept = []
+        for _, not_coprime, k, lcm in cands:
+            if not any(polys.exp_divides(other, lcm) for other, _, _ in kept):
+                kept.append((lcm, not_coprime, k))
+        # criterion B: lm(h) divides lcm(i, j) and neither lcm(i, h) nor
+        # lcm(j, h) equals it, so the pairs (i, h) and (j, h) cover (i, j)
+        pending[:] = [
+            p
+            for p in pending
+            if not polys.exp_divides(lm, p[4])
+            or polys.exp_lcm(G[p[2]][0][0], lm) == p[4]
+            or polys.exp_lcm(G[p[3]][0][0], lm) == p[4]
+        ]
+        for lcm, not_coprime, k in kept:
+            if not_coprime:
+                deg = polys.exp_deg(lcm)
+                s = max(
+                    sugars[k] + deg - polys.exp_deg(G[k][0][0]),
+                    sugar + deg - polys.exp_deg(lm),
+                )
+                pending.append((s, key(lcm), k, new, lcm))
+        heapq.heapify(pending)
+        active[:] = [k for k in active if not polys.exp_divides(lm, G[k][0][0])]
+        active.append(new)
+
     for g in gens:
-        if g:
-            G.append(polys.m_monic(F, g))
-            sugars.append(polys.m_total_deg(g))
-    if not G:
-        return ()
-
-    def pair_data(i, j):
-        lcm = polys.exp_lcm(G[i][0][0], G[j][0][0])
-        sugar = max(
-            sugars[i] + polys.exp_deg(polys.exp_div(lcm, G[i][0][0])),
-            sugars[j] + polys.exp_deg(polys.exp_div(lcm, G[j][0][0])),
-        )
-        return (sugar, key(lcm), i, j)
-
-    # G and sugars are only appended to, so a pair's tuple never changes
-    # once both elements exist: heappop returns the least pending pair
-    pending = [pair_data(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    heapq.heapify(pending)
-    done = set()
-
+        update(g, polys.m_total_deg(g))
     while pending:
         counter.tick()
-        best = heapq.heappop(pending)
-        i, j = best[2], best[3]
-        done.add((i, j))
-        lmi, lmj = G[i][0][0], G[j][0][0]
-        lcm = polys.exp_lcm(lmi, lmj)
-        if lcm == polys.exp_mul(lmi, lmj):
-            continue  # coprime leading monomials reduce to zero
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if not polys.exp_divides(G[k][0][0], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                skip = True
-                break
-        if skip:
-            continue
-        s = s_polynomial(ring, G[i], G[j])
-        h = normal_form(ring, s, G, counter)
-        if not h:
-            continue
-        h = polys.m_monic(F, h)
-        G.append(h)
-        sugars.append(best[0])
-        new = len(G) - 1
-        for k in range(new):
-            heapq.heappush(pending, pair_data(k, new))
+        sugar, _, i, j, _ = heapq.heappop(pending)
+        h = normal_form(ring, s_polynomial(ring, G[i], G[j]), G, counter)
+        if h:
+            update(polys.m_monic(F, h), sugar)
 
-    return reduce_basis(ring, G, counter)
+    return reduce_basis(ring, [G[k] for k in active], counter)
 
 
 def reduce_basis(ring, G, counter=None):
@@ -129,21 +138,13 @@ def reduce_basis(ring, G, counter=None):
     leading monomial."""
     F, key = ring.F, ring.key
     G = sorted((g for g in G if g), key=lambda g: key(g[0][0]))
-    # minimal: drop any g whose leading monomial another survivor divides;
-    # on equal leading monomials keep the earliest
+    # minimal: a monomial order never puts a monomial below one of its
+    # divisors, so each leading monomial only needs testing against the
+    # survivors before it; on equal leading monomials the earliest stays
     minimal = []
-    for idx, g in enumerate(G):
-        lm = g[0][0]
-        redundant = False
-        for k, h in enumerate(G):
-            if k == idx:
-                continue
-            if polys.exp_divides(h[0][0], lm) and (h[0][0] != lm or k < idx):
-                redundant = True
-                break
-        if redundant:
-            continue
-        minimal.append(g)
+    for g in G:
+        if not any(polys.exp_divides(h[0][0], g[0][0]) for h in minimal):
+            minimal.append(g)
     reduced = []
     for idx, g in enumerate(minimal):
         others = [h for k, h in enumerate(minimal) if k != idx]

@@ -20,7 +20,7 @@ and V(g) lies in a union of V(h_j) iff the product of the h_j lies in
 sqrt((g)).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EngineError, TierError
 from .ideals import Ideal
@@ -30,20 +30,15 @@ from .snf import hermite_basis, kernel_basis, smith_normal_form, solve_exact
 from .spectrum import prime_factors
 
 
-@dataclass(frozen=True)
-class FPModule:
+class FPModule(namedtuple("FPModule", "ring free_rank factors")):
     """R^free_rank (+) R/(f1) (+) ... with f1 | f2 | ... canonical,
     none zero or unit."""
 
-    ring: object
-    free_rank: int
-    factors: tuple
-
-    def __post_init__(self):
-        ring = self.ring
-        for f in self.factors:
+    def __new__(cls, ring, free_rank, factors):
+        for f in factors:
             if ring.is_zero(f) or ring.is_unit(f):
                 raise ValueError("invariant factors must be nonzero non-units")
+        return super().__new__(cls, ring, free_rank, factors)
 
     def is_zero(self):
         return self.free_rank == 0 and not self.factors
@@ -169,13 +164,9 @@ def ann_total_homology(X):
 # ----------------------------------------------------------------- support
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(namedtuple("SupportSet", "ring components")):
     """Finite union of closed sets V(I_j), each component a normalized
     ideal of the same ring."""
-
-    ring: object
-    components: tuple
 
     def is_empty(self):
         return not self.components

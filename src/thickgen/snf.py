@@ -38,7 +38,7 @@ inside a Euclidean domain; quotient rings are handled upstream by
 lifting.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .budget import StepCounter
 from .errors import NoSolutionError, NotDivisibleError, TierError
@@ -46,11 +46,8 @@ from .matrices import Matrix
 from .rings import EuclideanRing
 
 
-@dataclass
-class SNFResult:
-    U: Matrix
-    D: Matrix
-    V: Matrix
+class SNFResult(namedtuple("SNFResult", "U D V")):
+    """Unimodular U and V with U @ A @ V == D."""
 
     @property
     def diagonal(self):

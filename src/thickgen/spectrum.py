@@ -16,7 +16,7 @@ resists complete factorization the answer can be "unknown", reported
 as None rather than a guess.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EngineError, FactorizationIncompleteError
 from .factor import factor_integer, factor_unipoly
@@ -110,13 +110,9 @@ def connected_lines(ring, connected, witness):
     return out
 
 
-@dataclass
-class SpecReport:
-    ring: object
-    connected: object  # True / False / None
-    witness: object
-    points: object  # list of prime ideals for finite spectra, else None
-    note: str
+class SpecReport(namedtuple("SpecReport", "ring connected witness points note")):
+    """connected is True, False or None; points lists the prime ideals
+    of a finite spectrum, else None."""
 
     def lines(self):
         out = [f"ring: {self.ring.describe()}"]
@@ -153,16 +149,12 @@ def spec_description(ring):
     return SpecReport(ring, connected, witness, points, note)
 
 
-@dataclass
-class NilpotenceReport:
-    ring: object
-    ideal: object
-    max_n: int
-    connected: object
-    witness: object
-    stabilization_index: object
-    nilpotency_index: object
-    verdict: str
+class NilpotenceReport(
+    namedtuple(
+        "NilpotenceReport",
+        "ring ideal max_n connected witness stabilization_index nilpotency_index verdict",
+    )
+):
 
     def lines(self):
         out = [

@@ -6,7 +6,9 @@ gcds of k x k minors (not elimination), determinants from fraction-free
 Bareiss, multivariate arithmetic from exponent dicts (not sorted term
 tuples), and ideal membership from the consistency of a degree-bounded
 linear system over the rationals, decided by fraction-free Bareiss
-elimination (not Groebner bases).
+elimination (not Groebner bases), and reduced Groebner bases from
+Buchberger's algorithm with every S-pair taken and fully reduced (no
+pair criteria, no sugar order).
 """
 
 import itertools
@@ -201,6 +203,96 @@ def linear_membership(f, gens, nvars, deg_bound):
     A = [[col.get(k, Fraction(0)) for col in cols] for k in key_order]
     b = [f.get(k, Fraction(0)) for k in key_order]
     return rat_consistent(A, b)
+
+
+# ------------------------------------- Groebner bases with every pair taken
+
+
+def monomial_order_key(order):
+    """Sort key on exponent tuples: a larger key is a larger monomial.
+    grevlex compares total degree, then makes the monomial with the
+    larger power of the last variable smaller."""
+    if order == "lex":
+        return lambda e: e
+    if order == "grevlex":
+        return lambda e: (sum(e), [-a for a in reversed(e)])
+    raise ValueError(order)
+
+
+def all_pairs_groebner(gens, order, p=None):
+    """Reduced Groebner basis of dict polynomials, by Buchberger's
+    algorithm with no pair criteria and no selection strategy: every
+    pair of elements is taken, oldest first, and its S-polynomial is
+    fully reduced (every term, not only the leading one).  Coefficients
+    are Fractions, or residues mod the prime p when p is given.  Returns
+    monic dicts sorted by descending leading monomial."""
+    key = monomial_order_key(order)
+
+    def norm(c):
+        return c if p is None else c % p
+
+    def inv(c):
+        return 1 / c if p is None else pow(c, -1, p)
+
+    def lead(f):
+        return max(f, key=key)
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def monic(f):
+        u = inv(f[lead(f)])
+        return {e: norm(c * u) for e, c in f.items()}
+
+    def sub_multiple(f, c, shift, g):
+        """f - c * x^shift * g."""
+        out = dict(f)
+        for e, v in g.items():
+            m = tuple(a + b for a, b in zip(shift, e))
+            s = norm(out.get(m, 0) - c * v)
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+        return out
+
+    def reduce(f, basis):
+        rem, out = dict(f), {}
+        while rem:
+            e = lead(rem)
+            g = next((g for g in basis if divides(lead(g), e)), None)
+            if g is None:
+                out[e] = rem.pop(e)
+            else:
+                shift = tuple(a - b for a, b in zip(e, lead(g)))
+                rem = sub_multiple(rem, rem[e], shift, g)
+        return out
+
+    def s_poly(f, g):
+        lf, lg = lead(f), lead(g)
+        lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+        tf = sub_multiple({}, -1, tuple(a - b for a, b in zip(lcm, lf)), f)
+        return sub_multiple(tf, 1, tuple(a - b for a, b in zip(lcm, lg)), g)
+
+    G = [monic(f) for f in gens if f]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        h = reduce(s_poly(G[i], G[j]), G)
+        if h:
+            G.append(monic(h))
+            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
+    minimal = []
+    for idx, g in enumerate(G):
+        lg = lead(g)
+        if not any(
+            divides(lead(h), lg) and (lead(h) != lg or k < idx)
+            for k, h in enumerate(G)
+            if k != idx
+        ):
+            minimal.append(g)
+    reduced = [monic(reduce(g, minimal[:k] + minimal[k + 1 :])) for k, g in enumerate(minimal)]
+    return sorted(reduced, key=lambda g: key(lead(g)), reverse=True)
 
 
 # ------------------------------------------------- univariate over Q

@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import linear_membership, mp_add, mp_const, mp_mul, mp_scale, mp_var
+from oracles import (
+    all_pairs_groebner,
+    linear_membership,
+    mp_add,
+    mp_const,
+    mp_mul,
+    mp_scale,
+    mp_var,
+)
 from thickgen.budget import StepCounter
 from thickgen.groebner import buchberger, normal_form, reduce_basis, s_polynomial
 from thickgen.ideals import Ideal
@@ -79,28 +87,93 @@ def test_reduced_basis_is_generator_order_invariant():
             assert a == b, R.describe()
 
 
+def parse_gens(R, texts):
+    env = {name: R.var_elem(i) for i, name in enumerate(R.vars)}
+    return [eval(t, {"__builtins__": {}}, env) for t in texts]  # test-local shorthand
+
+
 @pytest.mark.parametrize(
     "names,gens,n,ticks,size",
     [
-        (["x", "y", "z"], ["x", "y", "z"], 5, 990, 21),
-        (["x", "y"], ["x**2 + 3*y", "x*y"], 2, 48, 4),
-        (["x", "y"], ["x**2 + 3*y", "x*y"], 3, 74, 6),
-        (["x", "y"], ["x**2 + 3*y", "x*y"], 4, 182, 7),
+        (["x", "y", "z"], ["x", "y", "z"], 5, 0, 21),
+        (["x", "y"], ["x**2 + 3*y", "x*y"], 2, 12, 4),
+        (["x", "y"], ["x**2 + 3*y", "x*y"], 3, 18, 6),
+        (["x", "y"], ["x**2 + 3*y", "x*y"], 4, 28, 7),
     ],
     ids=["m^4*m", "J^1*J", "J^2*J", "J^3*J"],
 )
 def test_pair_order_is_pinned_by_tick_count(names, gens, n, ticks, size):
     # Buchberger ticks once per pair taken and once per reduction step,
-    # so the count changes with the order in which pairs are taken; the
-    # product J^(n-1)*J is formed as Ideal.product forms it
+    # so the count changes with the order in which pairs are taken and
+    # with the pairs the criteria drop; a monomial input takes no pairs.
+    # The product J^(n-1)*J is formed as Ideal.product forms it
     R = poly_ring(QQ, names)
-    env = {name: R.var_elem(i) for i, name in enumerate(names)}
-    J = Ideal(R, [eval(g, {"__builtins__": {}}, env) for g in gens])
+    J = Ideal(R, parse_gens(R, gens))
     prods = [R.mul(a, b) for a in J.power(n - 1).normal_payloads for b in J.normal_payloads]
     counter = StepCounter("buchberger")
     basis = buchberger(R, prods, counter)
     assert counter.count == ticks
     assert len(basis) == size
+
+
+def assert_matches_oracle(R, gens, counter=None):
+    p = R.F.p if R.F.kind == "Fp" else None
+    want = all_pairs_groebner([dict(g) for g in gens], R.order, p)
+    got = buchberger(R, gens, counter)
+    assert [dict(g) for g in got] == want, (R.describe(), [R.render(g) for g in gens])
+    return got
+
+
+def test_reduced_basis_matches_all_pairs_oracle_on_random_inputs():
+    for F in (QQ, GF(32003)):
+        for order in ("grevlex", "lex"):
+            R = poly_ring(F, ["x", "y"], order)
+            rng = random.Random(11)
+            for _ in range(20):
+                assert_matches_oracle(R, [random_poly(R, rng) for _ in range(rng.randint(1, 3))])
+
+
+def test_reduced_basis_matches_all_pairs_oracle_on_monomial_inputs():
+    rng = random.Random(5)
+    for order in ("grevlex", "lex"):
+        R = poly_ring(QQ, ["x", "y", "z"], order)
+        for _ in range(20):
+            gens = []
+            for _ in range(rng.randint(1, 6)):
+                exp = tuple(rng.randint(0, 4) for _ in range(3))
+                gens.append(((exp, QQ.from_int(rng.choice([-3, -1, 2, 5]))),))
+            counter = StepCounter("buchberger")
+            assert_matches_oracle(R, gens, counter)
+            assert counter.count == 0
+
+
+@pytest.mark.parametrize(
+    "gens,max_n",
+    [
+        (["x**2 + 3*y", "x*y"], 4),
+        (["x**2 + y", "y**2 + z", "x*z"], 3),
+        (["x*y + z**2", "x**2 - y*z", "y**3"], 2),
+    ],
+)
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_reduced_basis_matches_all_pairs_oracle_on_power_products(gens, max_n, order):
+    R = poly_ring(QQ, ["x", "y", "z"], order)
+    J = Ideal(R, parse_gens(R, gens))
+    for n in range(2, max_n + 1):
+        prods = [R.mul(a, b) for a in J.power(n - 1).normal_payloads for b in J.normal_payloads]
+        assert_matches_oracle(R, prods)
+
+
+def test_lex_input_whose_remainders_grow_when_reduced_by_the_pruned_set():
+    # buchberger reduces each S-polynomial by every element found so
+    # far; reducing by the elements the update step keeps active only
+    # made the polynomials of this input grow without bound
+    R = poly_ring(QQ, ["x", "y", "z"], "lex")
+    texts = ["-2*x*y**2 + 2*y**3 + 1", "-x**2*y - 2*x*y*z + 3*x - 5", "3*x**2*y + x - 9"]
+    G = assert_matches_oracle(R, [g.payload for g in parse_gens(R, texts)])
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            assert not normal_form(R, s_polynomial(R, G[i], G[j]), G)
 
 
 def test_membership_agrees_with_linear_oracle():
