@@ -36,7 +36,7 @@ from .errors import (
     TierError,
     WitnessValidationError,
 )
-from .homology import ann_total_homology, supph
+from .homology import ann_total_homology, require_tier_one, supph
 from .ideals import Ideal
 from .matrices import Matrix
 from .rings import RingElem
@@ -120,11 +120,7 @@ def validate_witness(witness, X, G):
             )
     else:
         cmp = witness.comparison
-        if cmp.src == built and cmp.dst == X:
-            pass
-        elif cmp.src == X and cmp.dst == built:
-            pass
-        else:
+        if (cmp.src, cmp.dst) not in ((built, X), (X, built)):
             raise WitnessValidationError(
                 "comparison", "comparison map does not join the realization and the target"
             )
@@ -163,13 +159,6 @@ class LowerBoundCert(
         return out
 
 
-class UpperBoundCert(namedtuple("UpperBoundCert", "level witness")):
-    kind = "upper-bound"
-
-    def lines(self):
-        return [f"kind: {self.kind}"] + level_lines(self.level)
-
-
 class NotInThickCert(
     namedtuple("NotInThickCert", "missing_gen support_x support_g note", defaults=("",))
 ):
@@ -191,8 +180,10 @@ class NotInThickCert(
 def level_lower_bound(X, G, cap=LEVEL_SEARCH_CAP):
     """Least k with ann(H* G)^k <= ann(H* X), certified; NotInThickCert
     when the supports already rule membership out."""
-    aG = ann_total_homology(G)
-    aX = ann_total_homology(X)
+    require_tier_one(G.ring)
+    require_tier_one(X.ring)
+    sG, sX = supph(G), supph(X)
+    aG, aX = sG.ideal(), sX.ideal()
     if aG.is_unit_ideal():
         raise EngineError("generator complex has zero homology")
     if aX.is_unit_ideal():
@@ -201,8 +192,8 @@ def level_lower_bound(X, G, cap=LEVEL_SEARCH_CAP):
         if not aX.radical_member(g):
             return NotInThickCert(
                 missing_gen=g,
-                support_x=supph(X),
-                support_g=supph(G),
+                support_x=sX,
+                support_g=sG,
                 note="support of the target is not contained in the support "
                 "of the generator",
             )

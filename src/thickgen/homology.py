@@ -23,7 +23,7 @@ sqrt((g)).
 from collections import namedtuple
 
 from .errors import EngineError, TierError
-from .ideals import Ideal
+from .ideals import Ideal, euclid_radical_member
 from .matrices import Matrix
 from .rings import RingElem
 from .snf import hermite_basis, kernel_basis, smith_normal_form, solve_exact
@@ -105,11 +105,15 @@ def _read_invariants(ring, k, diagonal):
     return FPModule(ring, free, tuple(factors))
 
 
+def require_tier_one(ring):
+    if ring.tier != 1:
+        raise TierError(f"homology needs a Tier-1 ring, got {ring.describe()}")
+
+
 def homology(X, n):
     """H^n(X) as an FPModule over X.ring (Tier 1 only)."""
     ring = X.ring
-    if ring.tier != 1:
-        raise TierError(f"homology needs a Tier-1 ring, got {ring.describe()}")
+    require_tier_one(ring)
     rank_n = X.rank(n)
     if rank_n == 0:
         return FPModule(ring, 0, ())
@@ -151,14 +155,7 @@ def homology_all(X):
 def ann_total_homology(X):
     """Annihilator of the direct sum of all homology modules: the
     intersection of the per-degree annihilators."""
-    ring = X.ring
-    if ring.tier != 1:
-        raise TierError(f"homology needs a Tier-1 ring, got {ring.describe()}")
-    cover = ring.cover_ring
-    acc = cover.one()
-    for M in homology_all(X).values():
-        acc = cover.lcm(acc, M.ann().cover_gen)
-    return Ideal(ring, [RingElem(ring, ring.project(acc))])
+    return supph(X).ideal()
 
 
 # ----------------------------------------------------------------- support
@@ -179,66 +176,44 @@ class SupportSet(namedtuple("SupportSet", "ring components")):
     def __repr__(self):
         return f"SupportSet[{self.render()}]"
 
+    def ideal(self):
+        """The intersection of the components, the lcm of their cover
+        generators; for supph(X) it is ann H*(X)."""
+        ring = self.ring
+        require_tier_one(ring)
+        cover = ring.cover_ring
+        acc = cover.one()
+        for c in self.components:
+            acc = cover.lcm(acc, c.cover_gen)
+        return Ideal(ring, [RingElem(ring, ring.project(acc))])
+
     def contains(self, other):
-        """Inclusion other <= self of closed subsets."""
+        """Inclusion other <= self of closed subsets: V(g) lies in the
+        union of the V(h) iff the product of the h lies in sqrt((g)),
+        read in the cover ring, where every component is principal."""
         if other.ring != self.ring:
             raise TierError("support containment needs a common ring")
-        ring = self.ring
         if other.is_empty():
             return True
-        if ring.tier == 2:
-            if len(self.components) != 1:
-                raise TierError(
-                    "multi-component support containment is only decided "
-                    "over principal-ideal tiers"
-                )
-            # V(t) <= V(target) iff every generator of target lies in sqrt(t)
-            target = self.components[0]
-            return all(
-                all(t.radical_member(g) for g in target.normal_gens)
-                for t in other.components
-            )
-        # V(g) <= union of V(h) iff the product of the h lies in sqrt((g)),
-        # read in the cover ring, where every component is principal
-        cover = ring.cover_ring
-        self_gens = [c.cover_gen for c in self.components]
-        other_gens = [c.cover_gen for c in other.components]
-        for g in other_gens:
-            if cover.is_zero(g):
-                # V(0) = Spec of a domain: only covered by another V(0)
-                if not any(cover.is_zero(h) for h in self_gens):
-                    return False
-                continue
-            prod = cover.one()
-            for h in self_gens:
-                prod = cover.mul(prod, h)
-            if not Ideal(cover, [RingElem(cover, g)]).radical_member(
-                RingElem(cover, prod)
-            ):
-                return False
-        return True
+        targets = [c.cover_gen for c in other.components]  # TierError over Tier 2
+        cover = self.ring.cover_ring
+        prod = cover.one()
+        for c in self.components:
+            prod = cover.mul(prod, c.cover_gen)
+        return all(euclid_radical_member(cover, g, prod) for g in targets)
 
 
 def supph(X):
-    """Homological support: union of V(ann H^n(X)) over all degrees."""
+    """Homological support: union of V(ann H^n(X)) over all degrees,
+    one component per distinct proper annihilator."""
     ring = X.ring
-    components = []
-    seen = set()
-    for n, M in sorted(homology_all(X).items()):
+    anns = {}
+    for M in homology_all(X).values():
         a = M.ann()
-        if a.is_unit_ideal():
-            continue
-        if a.normal_payloads in seen:
-            continue
-        seen.add(a.normal_payloads)
-        components.append(a)
-    components.sort(key=_component_key)
-    return SupportSet(ring, tuple(components))
-
-
-def _component_key(ideal):
-    g = ideal.cover_gen
-    return (ideal.ring.cover_ring.euclid_norm(g), g)
+        if not a.is_unit_ideal():
+            anns[a.cover_gen] = a
+    order = sorted(anns, key=lambda g: (ring.cover_ring.euclid_norm(g), g))
+    return SupportSet(ring, tuple(anns[g] for g in order))
 
 
 def closed_set(ideal):
@@ -251,19 +226,14 @@ def resolve_primes(support):
     the spectrum is infinite over the component or factorization is
     incomplete."""
     ring = support.ring
-    if support.is_empty():
-        return []
-    if ring.tier == 2:
-        return None
-    cover = ring.cover_ring
     primes = []
     for comp in support.components:
         g = comp.cover_gen
-        if cover.is_zero(g):
+        if ring.cover_ring.is_zero(g):
             # V(0) over a domain: one point for a field, else infinite
             if not ring.is_field:
                 return None
-            pairs = [(cover.zero(), 1)]
+            pairs = [(g, 1)]
         else:
             pairs, complete = prime_factors(ring, g)
             if not complete:

@@ -82,9 +82,7 @@ class Ideal:
     # predicates ---------------------------------------------------------
 
     def is_zero_ideal(self):
-        if isinstance(self.ring, MultiPolyRing):
-            return not self._normal
-        return self.ring.is_zero(self._normal[0])
+        return not any(self._normal)
 
     def is_unit_ideal(self):
         if isinstance(self.ring, MultiPolyRing):
@@ -175,7 +173,7 @@ class Ideal:
             return True
         if isinstance(ring, MultiPolyRing):
             return self._radical_member_multi(f.payload)
-        return _euclid_radical_member(ring.cover_ring, self._cover_gen, ring.lift(f.payload))
+        return euclid_radical_member(ring.cover_ring, self._cover_gen, ring.lift(f.payload))
 
     def _radical_member_multi(self, f):
         ring = self.ring
@@ -199,13 +197,8 @@ class Ideal:
             f"radical membership undecided within power bound {RADICAL_POWER_BOUND}"
         )
 
-    def groebner_basis(self):
-        if not isinstance(self.ring, MultiPolyRing):
-            raise TierError("groebner_basis needs a multivariate polynomial ring")
-        return self.normal_gens
 
-
-def _euclid_radical_member(ring, g, f):
+def euclid_radical_member(ring, g, f):
     """f in sqrt((g)) over a Euclidean domain, by iterated gcd division."""
     if ring.is_zero(g):
         return ring.is_zero(f)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thickgen.cli import run_script
+from thickgen.cli import main, run_script
 from thickgen.complexes import koszul, random_complex
 from thickgen.dsl import parse_script, render_complex, render_ring, run_command
 from thickgen.errors import ParseError
@@ -364,6 +364,50 @@ def test_polynomial_division_error_names_the_ring(literal, describe):
 def test_wrong_binding_kind_takes_its_article():
     stderr = "error: 'I' is bound to an ideal, expected ring\n"
     assert run_machine(ZMOD8 + "obstruct I I --max 3\n") == (2, "", stderr)
+
+
+TIER2_ZERO = "ring P = poly Q [x,y]\ncomplex Z over P = { deg 0..0 }\n"
+
+
+def test_zero_complex_over_tier_two_has_empty_support():
+    stdout = (
+        "command: thick-member\n"
+        "membership: yes\n"
+        "support-target: empty\n"
+        "support-generator: empty\n"
+        "\n"
+        "command: support\n"
+        "support: empty\n"
+        "primes: \n"
+        "\n"
+        "command: homology\n"
+        "trivial: yes\n"
+    )
+    script = TIER2_ZERO + "thick-member Z Z\nsupport Z\nhomology Z\n"
+    assert run_machine(script) == (0, stdout, "")
+
+
+@pytest.mark.parametrize("command", ["ann Z", "level-lb Z Z"])
+def test_annihilator_of_a_zero_complex_over_tier_two_is_a_tier_error(command):
+    stderr = "error: homology needs a Tier-1 ring, got Q[x,y] (grevlex)\n"
+    assert run_machine(TIER2_ZERO + command + "\n") == (2, "", stderr)
+
+
+def test_main_runs_a_script_file(tmp_path, capsys):
+    text = "ring R = Z\nideal I over R = (6)\nkoszul I as K\nsupport K\nlevel-lb K K\n"
+    path = tmp_path / "script.tg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--machine"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (run_machine(text)[1], "")
+
+
+def test_main_reports_an_unreadable_script(tmp_path, capsys):
+    path = tmp_path / "missing.tg"
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 @pytest.mark.parametrize(

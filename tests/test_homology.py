@@ -172,6 +172,10 @@ def test_supph_is_tier_one_only():
     I = Ideal(R, [R.var_elem(0), R.var_elem(1)])
     with pytest.raises(TierError):
         supph(koszul(I))
+    S = closed_set(I)
+    for decide in (lambda: S.contains(S), lambda: resolve_primes(S), S.ideal):
+        with pytest.raises(TierError):
+            decide()
 
 
 def test_supph_over_univariate_polys():

@@ -1,4 +1,4 @@
-"""The seed-1 scripts of the benchmark's three workloads print the
+"""The seed 1-3 scripts of the benchmark's three workloads print the
 committed bytes in --machine mode: for every script, the exit code, the
 stderr text and the sha256 of stdout kept in tests/golden/.
 
@@ -22,8 +22,8 @@ from thickgen.cli import run_script
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
-GOLDEN = ROOT / "tests" / "golden" / "workload_seed1.json"
-SEED = 1
+GOLDEN = ROOT / "tests" / "golden" / "workload_bytes.json"
+SEEDS = (1, 2, 3)
 
 
 def load_workloads():
@@ -38,10 +38,10 @@ def load_workloads():
     return module.WORKLOADS
 
 
-def run_batch(generate):
+def run_batch(generate, seed):
     """Script label -> [exit code, sha256 of stdout, stderr]."""
     out = {}
-    for i, script in enumerate(generate(SEED)):
+    for i, script in enumerate(generate(seed)):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stderr(stderr):
             code = run_script(script.text, machine=True, out=stdout)
@@ -56,9 +56,13 @@ WORKLOADS = load_workloads()
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_workload_bytes_match_golden(workload):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert run_batch(WORKLOADS[workload]) == golden[workload]
+    for seed in SEEDS:
+        assert run_batch(WORKLOADS[workload], seed) == golden[str(seed)][workload], f"seed {seed}"
 
 
 if __name__ == "__main__":
-    batches = {name: run_batch(WORKLOADS[name]) for name in sorted(WORKLOADS)}
+    batches = {
+        str(seed): {name: run_batch(WORKLOADS[name], seed) for name in sorted(WORKLOADS)}
+        for seed in SEEDS
+    }
     GOLDEN.write_text(json.dumps(batches, indent=1, sort_keys=True) + "\n", encoding="utf-8")
