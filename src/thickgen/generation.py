@@ -238,44 +238,45 @@ def thick_member(X, G):
 def koszul_power_obstruction(I, n):
     """Certificate that koszul(I^n) needs at least n levels (n-1 cones)
     against the generator koszul(I)."""
+    return _power_certificates(I, [n])[0]
+
+
+def _power_certificates(I, ns):
+    """koszul_power_obstruction(I, n) for each n in ns.  Over a Tier-1
+    ring both containments the bound rests on are cross-checked by
+    homology; I is the same on every rung, so ann(H* koszul(I)) >= I
+    is checked once, on the first."""
     ring = I.ring
     if not I.is_proper():
         raise EngineError("obstruction needs a proper ideal")
-    if n < 1:
-        raise ValueError("power must be at least 1")
-    p_prev = I.power(n - 1)
-    p_n = I.power(n)
-    witness = next(
-        (g for g in p_prev.normal_gens if not p_n.member(g)), None
-    )
-    if witness is None:
-        raise PowersStabilizedError(
-            n - 1,
-            f"I^{n - 1} equals I^{n}; the power chain stabilized and the "
-            f"obstruction at n = {n} vanishes",
+    certs = []
+    for n in ns:
+        if n < 1:
+            raise ValueError("power must be at least 1")
+        p_prev = I.power(n - 1)
+        p_n = I.power(n)
+        witness = next((g for g in p_prev.normal_gens if not p_n.member(g)), None)
+        if witness is None:
+            raise PowersStabilizedError(
+                n - 1,
+                f"I^{n - 1} equals I^{n}; the power chain stabilized and the "
+                f"obstruction at n = {n} vanishes",
+            )
+        if ring.tier == 1:
+            if not certs and not ann_total_homology(koszul(I)).contains(I):
+                raise EngineError("Koszul homology is not killed by the ideal")
+            if not p_n.contains(ann_total_homology(koszul(p_n))):
+                raise EngineError("total annihilator escaped the ideal power")
+            note = "annihilator containments verified by homology computation"
+        else:
+            note = (
+                "assumes the listed generators behave like a regular sequence; "
+                "annihilator containments hold symbolically"
+            )
+        certs.append(
+            LowerBoundCert(level=n, generator_ann=I, target_ann=p_n, witness=witness, note=note)
         )
-    note = ""
-    if ring.tier == 1:
-        # exact cross-checks of the two containments the bound rests on
-        aG = ann_total_homology(koszul(I))
-        aX = ann_total_homology(koszul(p_n))
-        if not aG.contains(I):
-            raise EngineError("Koszul homology is not killed by the ideal")
-        if not p_n.contains(aX):
-            raise EngineError("total annihilator escaped the ideal power")
-        note = "annihilator containments verified by homology computation"
-    else:
-        note = (
-            "assumes the listed generators behave like a regular sequence; "
-            "annihilator containments hold symbolically"
-        )
-    return LowerBoundCert(
-        level=n,
-        generator_ann=I,
-        target_ann=p_n,
-        witness=witness,
-        note=note,
-    )
+    return certs
 
 
 def principal_power_witness(x, n):
@@ -394,7 +395,7 @@ def strong_generation_obstruction(I, max_n):
             note="the ideal is nilpotent, so V(I) = Spec R and the power "
             "chain collapses; the obstruction degenerates",
         )
-    certs = [koszul_power_obstruction(I, n) for n in range(2, max_n + 1)]
+    certs = _power_certificates(I, range(2, max_n + 1))
     return ObstructionReport(
         ring=ring,
         ideal=I,

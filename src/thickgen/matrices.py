@@ -1,5 +1,7 @@
-"""Dense matrices over a ring, entries stored as payloads.
+"""Exact matrices over a ring, entries stored dense as payloads.
 
+Products and Kronecker products skip zero entries, so the sparse
+differentials of Koszul complexes cost what their nonzero entries cost.
 Shapes are explicit so zero-row and zero-column matrices behave (they
 show up constantly as differentials at the ends of complexes).
 """
@@ -59,9 +61,6 @@ class Matrix:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def col(self, j):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
-
     def shape(self):
         return (self.nrows, self.ncols)
 
@@ -71,8 +70,7 @@ class Matrix:
     # predicates ---------------------------------------------------------
 
     def is_zero(self):
-        R = self.ring
-        return all(R.is_zero(x) for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def is_identity(self):
         if self.nrows != self.ncols:
@@ -134,15 +132,16 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
         R = self.ring
-        cols = [other.col(j) for j in range(other.ncols)]
+        add, mul, z = R.add, R.mul, R.zero()
+        # row i of the product sums a * (row k of other) over nonzero a = self[i][k]
+        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
         out = []
         for r in self.rows:
-            row = []
-            for c in cols:
-                acc = R.zero()
-                for a, b in zip(r, c):
-                    acc = R.add(acc, R.mul(a, b))
-                row.append(acc)
+            row = [z] * other.ncols
+            for a, terms in zip(r, sparse):
+                if a:
+                    for j, b in terms:
+                        row[j] = add(row[j], mul(a, b))
             out.append(row)
         return Matrix(R, out, self.nrows, other.ncols)
 
@@ -246,13 +245,18 @@ class Matrix:
         """Kronecker product, row index (i1, i2) -> i1 * other.nrows + i2."""
         self._check(other, False)
         R = self.ring
-        nr, nc = self.nrows * other.nrows, self.ncols * other.ncols
-        out = [[None] * nc for _ in range(nr)]
+        mul, p, q = R.mul, other.nrows, other.ncols
+        nr, nc = self.nrows * p, self.ncols * q
+        out = [[R.zero()] * nc for _ in range(nr)]
+        sparse = [[(j2, b) for j2, b in enumerate(r2) if b] for r2 in other.rows]
         for i1, r1 in enumerate(self.rows):
-            for i2, r2 in enumerate(other.rows):
-                for j1, a in enumerate(r1):
-                    for j2, b in enumerate(r2):
-                        out[i1 * other.nrows + i2][j1 * other.ncols + j2] = R.mul(a, b)
+            for j1, a in enumerate(r1):
+                if not a:
+                    continue
+                for i2, terms in enumerate(sparse):
+                    row = out[i1 * p + i2]
+                    for j2, b in terms:
+                        row[j1 * q + j2] = mul(a, b)
         return Matrix(R, out, nr, nc)
 
     # rendering ----------------------------------------------------------

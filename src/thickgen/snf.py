@@ -2,7 +2,8 @@
 
 All elimination runs in one kernel, _hermite_columns: the reduced
 column Hermite form of a list of vectors, under the "hermite" step
-budget.
+budget.  A payload is zero exactly when it is falsy (Ring.is_zero), so
+the kernel tests entries by truth value and skips zero entries.
 
 smith_normal_form(A) returns unimodular U, V and D with
 
@@ -141,24 +142,27 @@ def _from_columns(R, nrows, cols):
 
 
 def _axpy(R, dst, src, q, start):
-    """dst -= q * src, entrywise and in place; src is zero before start."""
-    nq = R.neg(q)
+    """dst -= q * src, entrywise and in place, skipping the zeros of
+    src; src is zero before start."""
+    add, mul, nq = R.add, R.mul, R.neg(q)
     for i in range(start, len(dst)):
-        dst[i] = R.add(dst[i], R.mul(nq, src[i]))
+        s = src[i]
+        if s:
+            dst[i] = add(dst[i], mul(nq, s))
 
 
 def _hermite_columns(R, nrows, cols):
     """(columns, pivot rows) of the Hermite form of the lattice the
     columns span; reduces the nonzero ones in place.  The columns come
     out in pivot-row order, each zero above its pivot row."""
-    cols = [c for c in cols if any(not R.is_zero(x) for x in c)]
+    cols = [c for c in cols if any(c)]
     counter = StepCounter("hermite")
     fixed = []
     pivot_rows = []
     for row in range(nrows):
         if not cols:
             break
-        live = [c for c in cols if not R.is_zero(c[row])]
+        live = [c for c in cols if c[row]]
         if not live:
             continue
         # gcd cascade: shrink entries at `row` until one column remains
@@ -169,9 +173,9 @@ def _hermite_columns(R, nrows, cols):
             rest = []
             for c in live[1:]:
                 q, r = R.euclid_divmod(c[row], p[row])
-                if not R.is_zero(q):
+                if q:
                     _axpy(R, c, p, q, row)
-                if not R.is_zero(c[row]):
+                if c[row]:
                     rest.append(c)
             live = [p] + rest
         pivot = live[0]
@@ -186,7 +190,7 @@ def _hermite_columns(R, nrows, cols):
     for k in range(len(fixed)):
         for j in range(k):
             q, _ = R.euclid_divmod(fixed[j][pivot_rows[k]], fixed[k][pivot_rows[k]])
-            if not R.is_zero(q):
+            if q:
                 _axpy(R, fixed[j], fixed[k], q, pivot_rows[k])
     return fixed, pivot_rows
 
@@ -236,14 +240,14 @@ def solve_exact(A, B):
     for j in range(B.ncols):
         v = [B.entry(i, j) for i in range(m)] + [R.zero()] * A.ncols
         for c, p in image:
-            if R.is_zero(v[p]):
+            if not v[p]:
                 continue
             try:
                 q = R.exact_div(v[p], c[p])
             except NotDivisibleError:
                 raise NoSolutionError("system has no exact solution")
             _axpy(R, v, c, q, p)
-        if any(not R.is_zero(x) for x in v[:m]):
+        if any(v[:m]):
             raise NoSolutionError("system has no exact solution")
         xs.append([R.neg(x) for x in v[m:]])
     return _from_columns(R, A.ncols, xs)

@@ -87,15 +87,20 @@ def test_level_rejects_exact_inputs():
         level_lower_bound(X, E)
 
 
-@pytest.mark.parametrize("x,cert_type", [(6, NotInThickCert), (4, LowerBoundCert)])
-def test_level_bound_takes_each_homology_once(monkeypatch, x, cert_type):
-    # X and G each have two degrees: one homology pass per complex is 4
-    # calls, where reading annihilators and supports apart took 8.  The
-    # package re-exports the function `homology` under the module's name.
+def _count_homology_calls(monkeypatch):
+    # the package re-exports the function `homology` under the module's name
     module = importlib.import_module("thickgen.homology")
     calls = []
     homology = module.homology
     monkeypatch.setattr(module, "homology", lambda C, n: calls.append(n) or homology(C, n))
+    return calls
+
+
+@pytest.mark.parametrize("x,cert_type", [(6, NotInThickCert), (4, LowerBoundCert)])
+def test_level_bound_takes_each_homology_once(monkeypatch, x, cert_type):
+    # X and G each have two degrees: one homology pass per complex is 4
+    # calls, where reading annihilators and supports apart took 8
+    calls = _count_homology_calls(monkeypatch)
     cert = level_lower_bound(koszul(Ideal(ZZ, [x])), koszul(Ideal(ZZ, [2])))
     assert isinstance(cert, cert_type)
     assert len(calls) == 4
@@ -303,6 +308,24 @@ def test_obstruction_ladder_computes_each_power_once(monkeypatch):
     rep = strong_generation_obstruction(I, 10)
     assert [c.level for c in rep.certificates] == list(range(2, 11))
     assert len(calls) == 9
+
+
+def test_obstruction_ladder_checks_the_generator_homology_once(monkeypatch):
+    # koszul((2)) and each koszul((2^n)) have two degrees: 2 calls for the
+    # generator plus 2 on each of the rungs n = 2..6, where checking the
+    # generator again on every rung took 20
+    calls = _count_homology_calls(monkeypatch)
+    rep = strong_generation_obstruction(Ideal(ZZ, [2]), 6)
+    assert [c.level for c in rep.certificates] == [2, 3, 4, 5, 6]
+    assert all("verified by homology" in c.note for c in rep.certificates)
+    assert len(calls) == 12
+
+
+def test_single_obstruction_runs_both_homology_checks(monkeypatch):
+    calls = _count_homology_calls(monkeypatch)
+    cert = koszul_power_obstruction(Ideal(ZZ, [2]), 5)
+    assert "verified by homology" in cert.note
+    assert len(calls) == 4
 
 
 def test_obstruction_ladder_over_qxyz_is_fast():
