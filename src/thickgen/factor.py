@@ -216,7 +216,6 @@ def factor_unipoly(F, f):
                 complete = False
         for h in irs:
             pairs.append((h, mult))
-    pairs.sort(key=lambda t: (polys.uni_deg(t[0]), t[0]))
     merged = {}
     for h, m in pairs:
         merged[h] = merged.get(h, 0) + m

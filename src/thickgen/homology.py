@@ -3,16 +3,15 @@ annihilators and homological support.
 
 Every Tier-1 ring is R = D/(mu) for a Euclidean cover ring D, with
 mu = 0 when R is D itself, and all the work happens in D on lifted
-matrices.  H^n = ker(d^n)/im(d^(n-1)) comes from the Hermite basis K
-of the kernel lattice, the relations [lift(d^(n-1)) | mu*I] written in
-K coordinates, and their Smith normal form: one Smith form per degree,
-for the invariants.  For mu = 0 the lattice is the kernel of d^n; for
-mu != 0 it is the projection of ker[lift(d^n) | mu*I], which contains
-mu*I and so has full rank.  Both bases, and the relations in K
-coordinates (solve_exact), come from Hermite forms, with no Smith form.
-Reading the invariant factors is the same for both: units vanish,
-factors associate to mu (zero when mu = 0) are free of rank one, and
-the rest are torsion.
+matrices, on one path for both.  H^n = ker(d^n)/im(d^(n-1)) is read
+from the kernel lattice L = {v : d^n v in mu*D^m}, whose Hermite basis
+K is one column Hermite form of [[d^n, mu*I] ; [I, 0]]
+(snf.kernel_basis).  L is ker(d^n) when mu = 0 and contains mu*I
+otherwise.  The relations, the nonzero columns of [d^(n-1) | mu*I],
+are written in K coordinates (solve_exact, again a Hermite form), and
+one Smith form per degree gives the invariants: units vanish, factors
+associate to mu (zero when mu = 0) are free of rank one, and the rest
+are torsion.
 
 Annihilators and supports are principal, so they are computed on cover
 generators: the total annihilator is the lcm of the per-degree ones,
@@ -21,12 +20,13 @@ sqrt((g)).
 """
 
 from collections import namedtuple
+from itertools import chain
 
-from .errors import EngineError, TierError
+from .errors import TierError
 from .ideals import Ideal, euclid_radical_member
 from .matrices import Matrix
 from .rings import RingElem
-from .snf import hermite_basis, kernel_basis, smith_normal_form, solve_exact
+from .snf import kernel_basis, smith_normal_form, solve_exact
 from .spectrum import prime_factors
 
 
@@ -114,37 +114,15 @@ def homology(X, n):
     """H^n(X) as an FPModule over X.ring (Tier 1 only)."""
     ring = X.ring
     require_tier_one(ring)
-    rank_n = X.rank(n)
-    if rank_n == 0:
-        return FPModule(ring, 0, ())
-    cover = ring.cover_ring
-    A = X.diff(n).map_entries(ring.lift, cover)
-    rels = X.diff(n - 1).map_entries(ring.lift, cover)
-    if cover.is_zero(ring.modulus):
-        K = kernel_basis(A)
-    else:
-        K = _kernel_lattice(cover, ring.modulus, A, rank_n)
-        rels = Matrix.hstack(cover, [rels, Matrix.scalar(cover, ring.modulus, rank_n)])
-    k = K.ncols
-    if k == 0:
-        return FPModule(ring, 0, ())
-    if rels.ncols == 0:
-        return FPModule(ring, k, ())
-    snf = smith_normal_form(solve_exact(K, rels))
-    return _read_invariants(ring, k, snf.diagonal)
-
-
-def _kernel_lattice(cover, mu, A, rank_n):
-    """Hermite basis of the lattice L = {v in D^rank_n : A v in mu D^m},
-    whose projection is the kernel of d^n over D/(mu).  L contains
-    mu*I, so it has full rank."""
-    m = A.nrows
-    Aext = Matrix.hstack(cover, [A, Matrix.scalar(cover, mu, m)]) if m else A
-    Kext = kernel_basis(Aext)
-    L = hermite_basis(Kext.submatrix(range(rank_n), range(Kext.ncols)))
-    if L.ncols != rank_n:
-        raise EngineError("kernel lattice is not full rank")
-    return L
+    cover, mu = ring.cover_ring, ring.modulus
+    K = kernel_basis(X.diff(n).map_entries(ring.lift, cover), mu)
+    d = X.diff(n - 1).map_entries(ring.lift, cover)
+    # the nonzero columns of [d | mu*I]; mu*I is symmetric, so its rows serve
+    rels = [c for c in chain(zip(*d.rows), Matrix.scalar(cover, mu, d.nrows).rows) if any(c)]
+    if not K.ncols or not rels:
+        return FPModule(ring, K.ncols, ())
+    snf = smith_normal_form(solve_exact(K, Matrix(cover, zip(*rels), d.nrows, len(rels))))
+    return _read_invariants(ring, K.ncols, snf.diagonal)
 
 
 def homology_all(X):

@@ -72,16 +72,6 @@ class Matrix:
     def is_zero(self):
         return not any(map(any, self.rows))
 
-    def is_identity(self):
-        if self.nrows != self.ncols:
-            return False
-        R = self.ring
-        return all(
-            (R.is_one(x) if i == j else R.is_zero(x))
-            for i, r in enumerate(self.rows)
-            for j, x in enumerate(r)
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -159,14 +149,6 @@ class Matrix:
             [[fn(x) for x in r] for r in self.rows],
             self.nrows,
             self.ncols,
-        )
-
-    def submatrix(self, row_idx, col_idx):
-        return Matrix(
-            self.ring,
-            [[self.rows[i][j] for j in col_idx] for i in row_idx],
-            len(row_idx),
-            len(col_idx),
         )
 
     # assembly -----------------------------------------------------------

@@ -72,17 +72,6 @@ def uni_mul(F, f, g):
     return uni_trim(out, F)
 
 
-def uni_pow(F, f, k):
-    result = (F.one(),)
-    base = f
-    while k:
-        if k & 1:
-            result = uni_mul(F, result, base)
-        base = uni_mul(F, base, base)
-        k >>= 1
-    return result
-
-
 def uni_divmod(F, f, g):
     """Division with remainder; g must be nonzero (field coefficients)."""
     if not g:

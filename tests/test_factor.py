@@ -12,8 +12,8 @@ from thickgen.factor import (
     is_prime,
     uni_squarefree,
 )
-from thickgen.polys import uni_mul, uni_pow, uni_scale, uni_trim
-from thickgen.rings import GF, QQ
+from thickgen.polys import uni_scale, uni_trim
+from thickgen.rings import GF, QQ, poly_ring
 
 
 @given(st.integers(min_value=0, max_value=5000))
@@ -34,9 +34,10 @@ def test_factor_integer_rejects_huge_primes():
 
 
 def _mul_out(F, parts):
-    acc = (F.one(),)
+    R = poly_ring(F, ["x"])
+    acc = R.one()
     for g, m in parts:
-        acc = uni_mul(F, acc, uni_pow(F, g, m))
+        acc = R.mul(acc, R.pow_(g, m))
     return acc
 
 

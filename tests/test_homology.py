@@ -1,13 +1,15 @@
 """Homology modules, annihilators, and homological support."""
 
+import hashlib
 import importlib
 import random
 import zlib
 
 import pytest
 
+from thickgen import snf
 from thickgen.complexes import ChainMap, FreeComplex, cone, koszul, random_chain_map, two_term
-from thickgen.errors import TierError
+from thickgen.errors import EngineError, TierError
 from thickgen.homology import (
     FPModule,
     _read_invariants,
@@ -216,20 +218,90 @@ def test_wide_quotient_cone_homology_terminates_quickly():
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=["Z", "Z/12"])
 def test_one_homology_degree_runs_one_smith_form(ring, monkeypatch):
-    # the kernel and kernel-lattice bases and solve_exact all come from
-    # Hermite forms; only the relations' invariants need a Smith form
-    calls = []
+    # the kernel lattice basis and solve_exact both come from one
+    # Hermite form each, with no second Hermite pass; only the
+    # relations' invariants need a Smith form
+    calls = {"smith_normal_form": 0, "kernel_basis": 0, "hermite_basis": 0}
 
-    def counted(A):
-        calls.append(A)
-        return smith_normal_form(A)
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
 
     # the package re-exports a function named homology, so fetch the modules
-    for name in ("thickgen.snf", "thickgen.homology"):
-        monkeypatch.setattr(importlib.import_module(name), "smith_normal_form", counted)
+    for name in calls:
+        wrapped = counted(name, getattr(snf, name))
+        for module in ("thickgen.snf", "thickgen.homology"):
+            owner = importlib.import_module(module)
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, wrapped)
     H = homology(koszul(Ideal(ring, [2, 3])), -1)
     assert H.is_zero()
-    assert len(calls) == 1
+    assert calls == {"smith_normal_form": 1, "kernel_basis": 1, "hermite_basis": 0}
+
+
+def test_kernel_lattice_that_misses_a_column_is_an_engine_error(monkeypatch):
+    # over Z/12 the lattice {v : 2 v1 + 3 v2 in 12 Z} has rank 2; a basis
+    # missing a column cannot express the relations 12 e_j, and
+    # solve_exact reports that instead of a wrong module
+    def drop_last(A, modulus):
+        K = snf.kernel_basis(A, modulus)
+        return Matrix(K.ring, [r[:-1] for r in K.rows], K.nrows, K.ncols - 1)
+
+    monkeypatch.setattr(importlib.import_module("thickgen.homology"), "kernel_basis", drop_last)
+    with pytest.raises(EngineError):
+        homology(koszul(Ideal(Zmod(12), [2, 3])), -1)
+
+
+def _quotient(F, coeffs):
+    return UniQuotRing(F, "t", tuple(F.from_int(c) for c in coeffs))
+
+
+# sha256 of every homology(X, n).render() line over the sources, targets
+# and cones of 20 seeded random chain maps per ring, one degree past
+# each end included; computed before the kernel lattice became one
+# stacked Hermite form, so any change in a module shows here
+HOMOLOGY_RENDER_DIGESTS = {
+    "Z": (ZZ, "77291cd3c0062ed8be90e57f79a8531804b93667fa03b2bcf1653c1ee8fa8b3f"),
+    "Z/8": (Zmod(8), "99a0a61e5e9f3bb67d20ffffa62382e1a5465503fe0a6fa9ddb566046fc3f4c4"),
+    "Z/12": (Zmod(12), "ee84649f8ae75146d509dc1dbb67972555c07a41f8f15f4d73eaab613347306d"),
+    "Z/360": (Zmod(360), "bea3bddea5344df79939d922489217533f32a6d7a3cf8ec6dbd426dd9d816420"),
+    "Q[x]": (
+        poly_ring(QQ, ["x"]),
+        "ae61e5c9562e4f7533699e2b0e40db491b34d57daf7a99b19780094651c3ce59",
+    ),
+    "F5[x]": (
+        poly_ring(GF(5), ["x"]),
+        "2c84398cfd3fb3edaa020c2b4727a68b8c4de17a4c3d279666a99d487fc9417b",
+    ),
+    "F5[t]/(t^2+1)": (
+        _quotient(GF(5), (1, 0, 1)),
+        "73e43fad34694c168a0c96a16809869f12b13b4a5bcb9cc0dda75932f1ac89e3",
+    ),
+    "Q[t]/(t^2-1)": (
+        _quotient(QQ, (-1, 0, 1)),
+        "d133fbd783e2b9aec9deb1e7d0f85302abdf97257bf8ddf5aef48301f38f0a14",
+    ),
+    "F3[t]/(t^2)": (
+        _quotient(GF(3), (0, 0, 1)),
+        "3cb3140c1c9908a7e0d0ef586771ef371a9e823af12dc5a407f950544ad7e264",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY_RENDER_DIGESTS))
+def test_homology_renders_are_pinned(name):
+    ring, digest = HOMOLOGY_RENDER_DIGESTS[name]
+    rng = random.Random(zlib.crc32(name.encode()))
+    h = hashlib.sha256()
+    for _ in range(20):
+        f = random_chain_map(ring, rng)
+        for X in (f.src, f.dst, cone(f)):
+            for n in range(X.lo() - 1, X.hi() + 2):
+                h.update(f"{n}:{homology(X, n).render()}\n".encode())
+    assert h.hexdigest() == digest
 
 
 def test_quotient_polynomial_cone_homology_matches_euler_characteristic():

@@ -3,6 +3,7 @@ minors-gcd oracle for invariant factors."""
 
 import math
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -248,3 +249,41 @@ def test_kernel_basis_entries_stay_small():
         K = kernel_basis(A)
         assert (A @ K).is_zero()
         assert all(abs(int(e)) < 10**9 for r in K.to_lists() for e in r)
+
+
+def _two_step_lattice(A, mu):
+    """{v : A v in mu*D^m} the long way: the kernel of [A | mu*I], its
+    first A.ncols rows, and a second Hermite pass over them."""
+    R, n = A.ring, A.ncols
+    wide = kernel_basis(Matrix.hstack(R, [A, Matrix.scalar(R, mu, A.nrows)]))
+    return hermite_basis(Matrix(R, wide.rows[:n], n, wide.ncols))
+
+
+def _poly(R, *coeffs):
+    return tuple(R.F.from_int(c) for c in coeffs)
+
+
+F5x, Qt = poly_ring(GF(5), ["x"]), poly_ring(QQ, ["t"])
+
+
+@pytest.mark.parametrize(
+    "R,mu",
+    [pytest.param(ZZ, mu, id=f"Z-{mu}") for mu in (4, 6, 12, 30, 360, 3456)]
+    + [
+        pytest.param(F5x, _poly(F5x, 0, 0, 1), id="F5[x]-x^2"),
+        pytest.param(F5x, _poly(F5x, 1, 3, 3, 1), id="F5[x]-(x+1)^3"),
+        pytest.param(F5x, _poly(F5x, 0, -1, 0, 1), id="F5[x]-x^3-x"),
+        pytest.param(Qt, _poly(Qt, -1, 0, 1), id="Q[t]-t^2-1"),
+        pytest.param(Qt, _poly(Qt, 1, 0, 2, 0, 1), id="Q[t]-(t^2+1)^2"),
+    ],
+)
+def test_kernel_lattice_is_one_stacked_hermite_form(R, mu):
+    # the Hermite basis read from [[A, mu*I] ; [I, 0]] is the same
+    # matrix as the two-step construction, not just the same lattice
+    rng = random.Random(zlib.crc32(f"{R.describe()} {mu}".encode()))
+    for _ in range(100):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        A = Matrix.build(R, m, n, lambda i, j: R.random_element(rng))
+        K = kernel_basis(A, mu)
+        assert K == _two_step_lattice(A, mu)
+        assert K.ncols == n
