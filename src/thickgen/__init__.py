@@ -12,7 +12,6 @@ from .complexes import (
     direct_sum,
     is_quasi_iso,
     koszul,
-    tensor,
     two_term,
     zero_complex,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "direct_sum",
     "is_quasi_iso",
     "koszul",
-    "tensor",
     "two_term",
     "zero_complex",
     "EngineError",

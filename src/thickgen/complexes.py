@@ -12,8 +12,12 @@ their transposes.
 Sign conventions:
   - shift(X, k) reindexes by k and scales the differential by (-1)^k,
   - cone(f)^n = src^(n+1) (+) dst^n with d = [[-d_src, 0], [f, d_dst]],
-  - tensor uses d(x (x) y) = dx (x) y + (-1)^p x (x) dy.
+  - koszul(f_1..f_k) has the j-subsets S of range(k) as its basis in
+    degree -j, in colex order (by largest element, then the next), and
+    d(e_S) = sum over i in S of (-1)^#{s in S : s < i} f_i e_(S - i).
 """
+
+from itertools import combinations
 
 from .errors import ComplexFormatError, RingMismatchError, TierError
 from .matrices import Matrix
@@ -157,13 +161,6 @@ def direct_sum(complexes):
     return FreeComplex(ring, ranks, diffs)
 
 
-def summand_injection(complexes, which):
-    """Chain map incl: complexes[which] -> direct_sum(complexes), the
-    projection transposed in every degree."""
-    proj = summand_projection(complexes, which)
-    return ChainMap(proj.dst, proj.src, {n: M.transpose() for n, M in proj.comps.items()})
-
-
 def summand_projection(complexes, which):
     """Chain map proj: direct_sum(complexes) -> complexes[which]."""
     total = direct_sum(complexes)
@@ -227,14 +224,6 @@ class ChainMap:
     @classmethod
     def identity(cls, X):
         return cls(X, X, {n: Matrix.identity(X.ring, X.rank(n)) for n in X.degrees()})
-
-    def compose(self, other):
-        """self after other."""
-        if other.dst != self.src:
-            raise ComplexFormatError("composition endpoints do not match")
-        degs = set(other.src.ranks) | set(self.dst.ranks)
-        comps = {n: self.comp(n) @ other.comp(n) for n in degs}
-        return ChainMap(other.src, self.dst, comps)
 
     def __add__(self, other):
         if other.src != self.src or other.dst != self.dst:
@@ -300,65 +289,24 @@ def cone_projection(f):
     return ChainMap(cone(f), SX, comps)
 
 
-def tensor(X, Y):
-    """Tensor product complex; summands of degree n ordered by ascending
-    X-degree p (only p with both factor ranks nonzero appear)."""
-    if X.ring != Y.ring:
-        raise RingMismatchError("tensor over mixed rings")
-    ring = X.ring
-    if X.is_zero_complex() or Y.is_zero_complex():
-        return zero_complex(ring)
-
-    def summands(n):
-        out = []
-        for p in X.degrees():
-            q = n - p
-            if X.rank(p) and Y.rank(q):
-                out.append((p, q))
-        return out
-
-    lo = X.lo() + Y.lo()
-    hi = X.hi() + Y.hi()
-    ranks = {}
-    for n in range(lo, hi + 1):
-        r = sum(X.rank(p) * Y.rank(q) for p, q in summands(n))
-        if r:
-            ranks[n] = r
-    diffs = {}
-    for n in range(lo, hi):
-        cols = summands(n)
-        rows = summands(n + 1)
-        if not cols or not rows:
-            continue
-        grid = []
-        for p2, q2 in rows:
-            row = []
-            for p, q in cols:
-                if (p2, q2) == (p + 1, q):
-                    row.append(X.diff(p).kron(Matrix.identity(ring, Y.rank(q))))
-                elif (p2, q2) == (p, q + 1):
-                    sign = ring.from_int(-1 if p % 2 else 1)
-                    row.append(
-                        Matrix.identity(ring, X.rank(p)).kron(Y.diff(q)).scale(sign)
-                    )
-                else:
-                    row.append(
-                        Matrix.zero(ring, X.rank(p2) * Y.rank(q2), X.rank(p) * Y.rank(q))
-                    )
-            grid.append(row)
-        diffs[n] = Matrix.block(ring, grid)
-    return FreeComplex(ring, ranks, diffs)
-
-
 def koszul(ideal):
-    """Koszul complex on the (pruned) generator list of the ideal:
-    the tensor product of [R --g--> R] in degrees -1, 0."""
+    """Koszul complex K(f_1..f_k) on the (pruned) generator list of the
+    ideal, in degrees -k..0, with the subset basis and the signs of the
+    module docstring."""
     ring = ideal.ring
-    acc = None
-    for g in ideal.gens:
-        t = two_term(ring, g)
-        acc = t if acc is None else tensor(acc, t)
-    return acc
+    f = [g.payload for g in ideal.gens]
+    k = len(f)
+    z = ring.zero()
+    bases = [sorted(combinations(range(k), j), key=lambda S: S[::-1]) for j in range(k + 1)]
+    diffs = {}
+    for j in range(1, k + 1):
+        row_of = {S: r for r, S in enumerate(bases[j - 1])}
+        rows = [[z] * len(bases[j]) for _ in bases[j - 1]]
+        for c, S in enumerate(bases[j]):
+            for pos, i in enumerate(S):
+                rows[row_of[S[:pos] + S[pos + 1 :]]][c] = ring.neg(f[i]) if pos % 2 else f[i]
+        diffs[-j] = Matrix(ring, rows, len(bases[j - 1]), len(bases[j]))
+    return FreeComplex(ring, {-j: len(b) for j, b in enumerate(bases)}, diffs)
 
 
 def is_quasi_iso(f):

@@ -525,26 +525,6 @@ def _parse_as(parser, session, tok):
 # -------------------------------------------------------------- rendering
 
 
-def render_ring(ring):
-    k = ring.kind
-    if k == "Z":
-        return "Z"
-    if k == "Q":
-        return "Q"
-    if k == "Zmod":
-        return f"Zmod {ring.m}"
-    if k == "Fp":
-        return f"Fp {ring.p}"
-    if k == "poly1":
-        return f"poly {ring.F.describe()} [{ring.var}]"
-    if k == "polyquot":
-        mod = ring.cover_ring.render(ring.modulus)
-        return f"polyquot {ring.F.describe()} [{ring.var}] ({mod})"
-    if k == "polym":
-        return f"poly {ring.F.describe()} [{','.join(ring.vars)}] {ring.order}"
-    raise EngineError(f"no literal form for ring kind {k!r}")
-
-
 def render_matrix(M):
     rows = ", ".join(
         "[" + ", ".join(M.ring.render(e) for e in row) + "]" for row in M.rows

@@ -1,7 +1,7 @@
 """Exact matrices over a ring, entries stored dense as payloads.
 
-Products and Kronecker products skip zero entries, so the sparse
-differentials of Koszul complexes cost what their nonzero entries cost.
+Products skip zero entries, so the sparse differentials of Koszul
+complexes cost what their nonzero entries cost.
 Shapes are explicit so zero-row and zero-column matrices behave (they
 show up constantly as differentials at the ends of complexes).
 """
@@ -46,11 +46,6 @@ class Matrix:
     def scalar(cls, ring, c, n):
         z = ring.zero()
         return cls(ring, [[c if i == j else z for j in range(n)] for i in range(n)], n, n)
-
-    @classmethod
-    def from_elems(cls, ring, rows, nrows=None, ncols=None):
-        data = [[ring.elem(x).payload for x in r] for r in rows]
-        return cls(ring, data, nrows, ncols)
 
     @classmethod
     def column(cls, ring, entries):
@@ -222,24 +217,6 @@ class Matrix:
             for i, b in enumerate(blocks)
         ]
         return cls.block(ring, grid)
-
-    def kron(self, other):
-        """Kronecker product, row index (i1, i2) -> i1 * other.nrows + i2."""
-        self._check(other, False)
-        R = self.ring
-        mul, p, q = R.mul, other.nrows, other.ncols
-        nr, nc = self.nrows * p, self.ncols * q
-        out = [[R.zero()] * nc for _ in range(nr)]
-        sparse = [[(j2, b) for j2, b in enumerate(r2) if b] for r2 in other.rows]
-        for i1, r1 in enumerate(self.rows):
-            for j1, a in enumerate(r1):
-                if not a:
-                    continue
-                for i2, terms in enumerate(sparse):
-                    row = out[i1 * p + i2]
-                    for j2, b in terms:
-                        row[j1 * q + j2] = mul(a, b)
-        return Matrix(R, out, nr, nc)
 
     # rendering ----------------------------------------------------------
 

@@ -211,7 +211,7 @@ def test_criterion_7_snf_kernel():
             n = rng.randint(1, 6)
             m = rng.randint(1, 6)
             rows = [[rng.randint(-50, 50) for _ in range(m)] for _ in range(n)]
-            A = Matrix.from_elems(ZZ, rows)
+            A = Matrix(ZZ, rows)
             snf = smith_normal_form(A)
             assert (snf.U @ A) @ snf.V == snf.D
             assert abs(int_det([[int(e) for e in r] for r in snf.U.to_lists()])) == 1

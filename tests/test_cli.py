@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from thickgen.cli import main, run_script
 from thickgen.complexes import koszul, random_complex
-from thickgen.dsl import parse_script, render_complex, render_ring, run_command
+from thickgen.dsl import parse_script, render_complex, run_command
 from thickgen.errors import ParseError
 from thickgen.ideals import Ideal
 from thickgen.rings import ZZ, Zmod
@@ -430,22 +430,22 @@ def test_witness_principal_targets_the_power_of_the_element(literal, elem, shown
     assert run_machine(script) == (0, stdout, "")
 
 
-def reparse_complex(X):
-    script = f"ring R = {render_ring(X.ring)}\ncomplex X over R = {render_complex(X)}\n"
+def reparse_complex(X, ring_literal):
+    script = f"ring R = {ring_literal}\ncomplex X over R = {render_complex(X)}\n"
     return parse_script(script).get("X", "complex")
 
 
 def test_complex_literal_roundtrip_random():
     rng = random.Random(77)
-    for ring in (ZZ, Zmod(9)):
+    for ring, literal in ((ZZ, "Z"), (Zmod(9), "Zmod 9")):
         for _ in range(10):
             X, _, _ = random_complex(ring, rng)
-            assert reparse_complex(X) == X
+            assert reparse_complex(X, literal) == X
 
 
 def test_complex_literal_roundtrip_koszul():
     K = koszul(Ideal(ZZ, [2, 3]))
-    assert reparse_complex(K) == K
+    assert reparse_complex(K, "Z") == K
 
 
 def test_session_runs_commands_in_order():

@@ -65,7 +65,7 @@ def test_integer_invariants_match_minors_oracle():
         n = rng.randint(1, 3)
         m = rng.randint(1, 3)
         rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        M = Matrix.from_elems(ZZ, rows)
+        M = Matrix(ZZ, rows)
         got = [int(d) for d in smith_normal_form(M).invariants if int(d) != 1]
         want = [abs(v) for v in minor_gcd_invariants(rows) if abs(v) != 1]
         assert got == want

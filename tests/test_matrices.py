@@ -1,4 +1,4 @@
-"""Matrix container algebra: blocks, stacking, kron, empty shapes."""
+"""Matrix container algebra: blocks, stacking, empty shapes."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +10,9 @@ from thickgen.rings import ZZ, Zmod
 ints = st.integers(min_value=-9, max_value=9)
 
 
-def mat_strategy(ring, max_dim=4, allow_empty=True):
-    lo = 0 if allow_empty else 1
-    dims = st.tuples(
-        st.integers(min_value=lo, max_value=max_dim),
-        st.integers(min_value=lo, max_value=max_dim),
-    )
+def mat_strategy(ring):
+    side = st.integers(min_value=0, max_value=4)
+    dims = st.tuples(side, side)
 
     def build(args):
         (nr, nc), seed = args
@@ -55,47 +52,36 @@ def test_addition_is_componentwise(A, B):
 
 
 def test_block_assembles_with_zero_fills():
-    A = Matrix.from_elems(ZZ, [[1, 2], [3, 4]])
-    B = Matrix.from_elems(ZZ, [[5], [6]])
+    A = Matrix(ZZ, [[1, 2], [3, 4]])
+    B = Matrix(ZZ, [[5], [6]])
     M = Matrix.block(ZZ, [[A, B], [None, Matrix.identity(ZZ, 1)]])
     assert M.to_lists() == [[1, 2, 5], [3, 4, 6], [0, 0, 1]]
 
 
 def test_block_rejects_ragged_grid():
-    A = Matrix.from_elems(ZZ, [[1, 2]])
-    B = Matrix.from_elems(ZZ, [[1], [2]])
+    A = Matrix(ZZ, [[1, 2]])
+    B = Matrix(ZZ, [[1], [2]])
     with pytest.raises(ValueError):
         Matrix.block(ZZ, [[A], [B]])
 
 
 def test_direct_sum_and_empty_blocks():
-    A = Matrix.from_elems(ZZ, [[2]])
+    A = Matrix(ZZ, [[2]])
     E = Matrix.zero(ZZ, 0, 3)
     S = Matrix.direct_sum(ZZ, [A, E])
     assert (S.nrows, S.ncols) == (1, 4)
     assert Matrix.direct_sum(ZZ, []).shape() == (0, 0)
 
 
-@given(mat_strategy(ZZ, max_dim=3, allow_empty=False), mat_strategy(ZZ, max_dim=3, allow_empty=False))
-@settings(max_examples=30, deadline=None)
-def test_kron_mixed_product(A, B):
-    I_a = Matrix.identity(ZZ, A.ncols)
-    I_b = Matrix.identity(ZZ, B.nrows)
-    # (A (x) I)(I (x) B) == A (x) B
-    lhs = A.kron(I_b) @ Matrix.identity(ZZ, A.ncols).kron(B)
-    assert lhs == A.kron(B)
-    assert I_a.kron(I_b) == Matrix.identity(ZZ, A.ncols * B.nrows)
-
-
 def test_hstack_vstack_roundtrip():
-    A = Matrix.from_elems(ZZ, [[1, 2], [3, 4]])
-    left, right = Matrix.from_elems(ZZ, [[1], [3]]), Matrix.from_elems(ZZ, [[2], [4]])
+    A = Matrix(ZZ, [[1, 2], [3, 4]])
+    left, right = Matrix(ZZ, [[1], [3]]), Matrix(ZZ, [[2], [4]])
     assert Matrix.hstack(ZZ, [left, right]) == A
-    top, bottom = Matrix.from_elems(ZZ, [[1, 2]]), Matrix.from_elems(ZZ, [[3, 4]])
+    top, bottom = Matrix(ZZ, [[1, 2]]), Matrix(ZZ, [[3, 4]])
     assert Matrix.vstack(ZZ, [top, bottom]) == A
 
 
 def test_render_and_hash_stability():
-    A = Matrix.from_elems(ZZ, [[1, -2], [0, 3]])
+    A = Matrix(ZZ, [[1, -2], [0, 3]])
     assert A.render() == "[[1,-2],[0,3]]"
-    assert hash(A) == hash(Matrix.from_elems(ZZ, [[1, -2], [0, 3]]))
+    assert hash(A) == hash(Matrix(ZZ, [[1, -2], [0, 3]]))

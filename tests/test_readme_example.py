@@ -1,11 +1,15 @@
 """The README's command-line example, run in --machine mode, prints the
 committed bytes in tests/golden/: the documented script still parses
-and runs, and its output does not drift."""
+and runs, and its output does not drift, in process and through the
+command line with no third-party package importable."""
 
 import contextlib
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 from thickgen.cli import run_script
 
@@ -27,3 +31,20 @@ def test_readme_example_machine_output_is_golden():
     assert (code, err.getvalue()) == (0, "")
     golden = (ROOT / "tests" / "golden" / "readme_example.machine.txt").read_bytes()
     assert out.getvalue().encode("utf-8") == golden
+
+
+def test_cli_runs_the_readme_example_without_site_packages(tmp_path):
+    # -S hides site-packages: the CLI needs nothing beyond the standard
+    # library and src/
+    path = tmp_path / "readme.tg"
+    path.write_text(readme_script(), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "thickgen.cli", "run", "--machine", str(path)],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    golden = (ROOT / "tests" / "golden" / "readme_example.machine.txt").read_bytes()
+    assert proc.stdout == golden

@@ -1,6 +1,5 @@
-"""Matrix products, Kronecker products and the Hermite kernel on sparse
-inputs, the shape of Koszul differentials: mostly zeros, a few nonzero
-entries per column.
+"""Matrix products and the Hermite kernel on sparse inputs, the shape
+of Koszul differentials: mostly zeros, a few nonzero entries per column.
 
 Products are compared with a dense triple loop that runs the ring's
 own add and mul over every entry, zeros included.
@@ -48,19 +47,6 @@ def dense_product(A, B):
     return out
 
 
-def dense_kron(A, B):
-    R = A.ring
-    return [
-        [
-            R.mul(A.entry(i1, j1), B.entry(i2, j2))
-            for j1 in range(A.ncols)
-            for j2 in range(B.ncols)
-        ]
-        for i1 in range(A.nrows)
-        for i2 in range(B.nrows)
-    ]
-
-
 def assert_zeros_are_canonical(M):
     zero_type = type(M.ring.zero())
     for row in M.rows:
@@ -82,19 +68,6 @@ def test_sparse_products_match_the_dense_loop(name, seed):
     assert_zeros_are_canonical(C)
 
 
-@pytest.mark.parametrize("name", RINGS)
-@pytest.mark.parametrize("seed", range(6))
-def test_sparse_kron_matches_the_dense_loop(name, seed):
-    R = RINGS[name]
-    rng = random.Random(100 + seed)
-    A = sparse(R, rng, rng.randint(0, 4), rng.randint(0, 4))
-    B = sparse(R, rng, rng.randint(0, 4), rng.randint(0, 4))
-    K = A.kron(B)
-    assert K.shape() == (A.nrows * B.nrows, A.ncols * B.ncols)
-    assert [list(r) for r in K.rows] == dense_kron(A, B)
-    assert_zeros_are_canonical(K)
-
-
 def test_zero_divisor_products_over_z12_match_the_dense_loop():
     # 3 * 4 = 0 in Z/12: a product of two nonzero entries is a zero entry
     R = RINGS["Z/12"]
@@ -103,11 +76,7 @@ def test_zero_divisor_products_over_z12_match_the_dense_loop():
     C = A @ B
     assert [list(r) for r in C.rows] == dense_product(A, B) == [[0, 0], [0, 0]]
     assert C.is_zero()
-    K = A.kron(B)
-    assert [list(r) for r in K.rows] == dense_kron(A, B)
-    assert K.entry(0, 0) == 0 and K.entry(1, 1) == 6
     assert_zeros_are_canonical(C)
-    assert_zeros_are_canonical(K)
 
 
 @pytest.mark.parametrize("name", ["Z", "F5[x]"])
