@@ -11,8 +11,6 @@ Multivariate: tuple of (exponent tuple, coefficient) pairs, sorted
 descending by the monomial order key, no zero coefficients; () is zero.
 """
 
-from .errors import NotDivisibleError
-
 # ---------------------------------------------------------------- univariate
 
 

@@ -20,7 +20,7 @@ only add, neg and mul are written per kind.
 from fractions import Fraction
 
 from . import polys
-from .errors import EngineError, NotDivisibleError, RingMismatchError, TierError
+from .errors import EngineError, NotDivisibleError, RingMismatchError
 from .factor import is_prime
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from thickgen.cli import run_script
-from thickgen.complexes import cone, koszul, random_chain_map
+from thickgen.complexes import cone, koszul
 from thickgen.generation import (
     LowerBoundCert,
     level_lower_bound,
@@ -38,6 +38,7 @@ from oracles import (
     is_prime_power_int,
     linear_membership,
 )
+from random_complexes import random_chain_map
 
 
 class _Budget:
@@ -129,6 +130,7 @@ def test_criterion_2_koszul_h0_and_annihilator():
             total = ann_total_homology(K)
             for g in I.normal_gens:
                 assert total.member(g)
+            assert I.contains(total)
 
 
 def test_criterion_3_tight_level_family():

@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thickgen.cli import main, run_script
-from thickgen.complexes import koszul, random_complex
+from thickgen.complexes import koszul
 from thickgen.dsl import parse_script, render_complex, run_command
 from thickgen.errors import ParseError
 from thickgen.ideals import Ideal
 from thickgen.rings import ZZ, Zmod
+
+from random_complexes import random_complex
 
 
 def run(text, **kw):

@@ -14,8 +14,6 @@ from thickgen.complexes import (
     free_singleton,
     is_quasi_iso,
     koszul,
-    random_chain_map,
-    random_complex,
     summand_projection,
     two_term,
     zero_complex,
@@ -24,6 +22,8 @@ from thickgen.errors import ComplexFormatError
 from thickgen.ideals import Ideal
 from thickgen.matrices import Matrix
 from thickgen.rings import QQ, ZZ, Zmod, poly_ring
+
+from random_complexes import random_chain_map, random_complex
 
 
 def composite(g, f):

@@ -8,7 +8,7 @@ import zlib
 import pytest
 
 from thickgen import snf
-from thickgen.complexes import ChainMap, FreeComplex, cone, koszul, random_chain_map, two_term
+from thickgen.complexes import ChainMap, FreeComplex, cone, koszul, two_term
 from thickgen.errors import EngineError, TierError
 from thickgen.homology import (
     FPModule,
@@ -27,6 +27,7 @@ from thickgen.rings import GF, QQ, ZZ, RingElem, UniQuotRing, Zmod, poly_ring
 from thickgen.snf import smith_normal_form
 
 from oracles import TWO_TERM_H0, minor_gcd_invariants
+from random_complexes import random_chain_map
 
 
 def _module_signature(M):
