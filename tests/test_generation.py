@@ -307,14 +307,29 @@ def test_obstruction_ladder_computes_each_power_once(monkeypatch):
     assert len(calls) == 9
 
 
-def test_obstruction_ladders_build_no_complex(monkeypatch):
-    # both containments of POWER_NOTE hold for any generator list, so no
-    # rung computes a Koszul complex or its homology, over Z or Q[x,y]
-    calls = _count_homology_calls(monkeypatch)
+def _count_koszul_builds(monkeypatch):
     built = []
     for name in ("thickgen.complexes", "thickgen.generation"):
         module = importlib.import_module(name)
         monkeypatch.setattr(module, "koszul", lambda I: built.append(I) or koszul(I))
+    return built
+
+
+def test_obstruction_over_z_is_homology_checked():
+    # the two Koszul facts of POWER_NOTE stand in for the homology check:
+    # the Z rung keeps its level and witness and carries the same note
+    cert = koszul_power_obstruction(Ideal(ZZ, [2]), 5)
+    assert cert.level == 5
+    assert int(cert.witness.payload) == 16
+    assert cert.note == POWER_NOTE
+
+
+def test_obstruction_ladder_checks_the_generator_homology_once(monkeypatch):
+    # both containments of POWER_NOTE hold for any generator list, so no
+    # rung computes a Koszul complex or its homology, over Z or Q[x,y]:
+    # the generator's homology is taken zero times, not once per ladder
+    calls = _count_homology_calls(monkeypatch)
+    built = _count_koszul_builds(monkeypatch)
     rep = strong_generation_obstruction(Ideal(ZZ, [2]), 6)
     assert [c.level for c in rep.certificates] == [2, 3, 4, 5, 6]
     assert [int(c.witness.payload) for c in rep.certificates] == [2, 4, 8, 16, 32]
@@ -325,6 +340,16 @@ def test_obstruction_ladders_build_no_complex(monkeypatch):
         OBSTRUCT_QXY_WITNESSES[n] for n in (2, 3, 4)
     ]
     assert all(c.note == POWER_NOTE for c in rep.certificates)
+    assert calls == [] and built == []
+
+
+def test_single_obstruction_runs_both_homology_checks(monkeypatch):
+    # a direct call takes the ladder's path, so neither containment is
+    # checked by homology: no Koszul complex is built
+    calls = _count_homology_calls(monkeypatch)
+    built = _count_koszul_builds(monkeypatch)
+    cert = koszul_power_obstruction(Ideal(ZZ, [2]), 5)
+    assert cert.level == 5 and cert.note == POWER_NOTE
     assert calls == [] and built == []
 
 
