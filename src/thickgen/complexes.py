@@ -5,12 +5,15 @@ X^n to X^(n+1), so diffs[n] has shape rank(n+1) x rank(n).  A complex
 keeps its differentials and a chain map its components as blocks by
 degree, only those with both sides nonzero; `_blocks` checks each given
 block's ring and shape, and the structural checks (d after d = 0,
-commuting squares) follow at construction.  The canonical maps of
-direct sums and cones are built from selector blocks [0 | I | 0] and
-their transposes.
+commuting squares) follow at construction.  The differentials of
+direct sums and cones, and their canonical maps, are laid out by
+`Matrix.from_blocks` at offsets read from the ranks; the canonical maps
+place an identity block.
 
 Sign conventions:
   - shift(X, k) reindexes by k and scales the differential by (-1)^k,
+  - direct_sum(X_1..X_m)^n = X_1^n (+) ... (+) X_m^n with
+    d = diag(d_1, ..., d_m),
   - cone(f)^n = src^(n+1) (+) dst^n with d = [[-d_src, 0], [f, d_dst]],
   - koszul(f_1..f_k) has the j-subsets S of range(k) as its basis in
     degree -j, in colex order (by largest element, then the next), and
@@ -41,13 +44,6 @@ def _blocks(ring, blocks, shape, what, label):
         if need[0] and need[1]:
             clean[n] = M
     return dict(sorted(clean.items()))
-
-
-def _selector(ring, before, r, after):
-    """The r x (before + r + after) matrix [0 | I_r | 0]."""
-    z = ring.zero()
-    rows = [[z] * (before + i) + [ring.one()] + [z] * (r - 1 - i + after) for i in range(r)]
-    return Matrix(ring, rows, r, before + r + after)
 
 
 class FreeComplex:
@@ -137,10 +133,6 @@ def two_term(ring, elem, top_degree=0):
     )
 
 
-def free_singleton(ring, degree, rank=1):
-    return FreeComplex(ring, {degree: rank}, {})
-
-
 def direct_sum(complexes):
     complexes = list(complexes)
     if not complexes:
@@ -156,7 +148,11 @@ def direct_sum(complexes):
     for n in ranks:
         if not ranks.get(n + 1, 0):
             continue
-        diffs[n] = Matrix.direct_sum(ring, [c.diff(n) for c in complexes])
+        blocks, i, j = [], 0, 0
+        for c in complexes:
+            blocks.append((i, j, c.diff(n)))
+            i, j = i + c.rank(n + 1), j + c.rank(n)
+        diffs[n] = Matrix.from_blocks(ring, ranks[n + 1], ranks[n], blocks)
     return FreeComplex(ring, ranks, diffs)
 
 
@@ -167,8 +163,8 @@ def summand_projection(complexes, which):
     comps = {}
     for n in part.degrees():
         before = sum(c.rank(n) for c in complexes[:which])
-        after = total.rank(n) - before - part.rank(n)
-        comps[n] = _selector(total.ring, before, part.rank(n), after)
+        I = Matrix.identity(total.ring, part.rank(n))
+        comps[n] = Matrix.from_blocks(total.ring, part.rank(n), total.rank(n), [(0, before, I)])
     return ChainMap(total, part, comps)
 
 
@@ -224,28 +220,6 @@ class ChainMap:
     def identity(cls, X):
         return cls(X, X, {n: Matrix.identity(X.ring, X.rank(n)) for n in X.degrees()})
 
-    def __add__(self, other):
-        if other.src != self.src or other.dst != self.dst:
-            raise ComplexFormatError("sum of chain maps with different endpoints")
-        degs = set(self.comps) | set(other.comps)
-        return ChainMap(self.src, self.dst, {n: self.comp(n) + other.comp(n) for n in degs})
-
-    def __neg__(self):
-        return ChainMap(self.src, self.dst, {n: -M for n, M in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return ChainMap(self.src, self.dst, {n: M.scale(c) for n, M in self.comps.items()})
-
-    def shift(self, k):
-        return ChainMap(
-            self.src.shift(k),
-            self.dst.shift(k),
-            {n - k: M for n, M in self.comps.items()},
-        )
-
 
 def cone(f):
     """Mapping cone of f: X -> Y, with C^n = X^(n+1) (+) Y^n."""
@@ -261,12 +235,12 @@ def cone(f):
     for n in ranks:
         if not ranks.get(n + 1, 0):
             continue
-        diffs[n] = Matrix.block(
+        top, left = X.rank(n + 2), X.rank(n + 1)
+        diffs[n] = Matrix.from_blocks(
             ring,
-            [
-                [-X.diff(n + 1), Matrix.zero(ring, X.rank(n + 2), Y.rank(n))],
-                [f.comp(n + 1), Y.diff(n)],
-            ],
+            ranks[n + 1],
+            ranks[n],
+            [(0, 0, -X.diff(n + 1)), (top, 0, f.comp(n + 1)), (top, left, Y.diff(n))],
         )
     return FreeComplex(ring, ranks, diffs)
 
@@ -274,18 +248,22 @@ def cone(f):
 def cone_inclusion(f):
     """Y -> cone(f), the canonical inclusion."""
     X, Y = f.src, f.dst
-    comps = {
-        n: _selector(Y.ring, X.rank(n + 1), Y.rank(n), 0).transpose() for n in Y.degrees()
-    }
-    return ChainMap(Y, cone(f), comps)
+    C = cone(f)
+    comps = {}
+    for n in Y.degrees():
+        I = Matrix.identity(Y.ring, Y.rank(n))
+        comps[n] = Matrix.from_blocks(Y.ring, C.rank(n), Y.rank(n), [(X.rank(n + 1), 0, I)])
+    return ChainMap(Y, C, comps)
 
 
 def cone_projection(f):
     """cone(f) -> shift(X, 1), the canonical projection."""
-    X, Y = f.src, f.dst
-    SX = X.shift(1)
-    comps = {n: _selector(X.ring, 0, X.rank(n + 1), Y.rank(n)) for n in SX.degrees()}
-    return ChainMap(cone(f), SX, comps)
+    C, SX = cone(f), f.src.shift(1)
+    comps = {}
+    for n in SX.degrees():
+        I = Matrix.identity(C.ring, SX.rank(n))
+        comps[n] = Matrix.from_blocks(C.ring, SX.rank(n), C.rank(n), [(0, 0, I)])
+    return ChainMap(C, SX, comps)
 
 
 def koszul(ideal):

@@ -525,13 +525,6 @@ def _parse_as(parser, session, tok):
 # -------------------------------------------------------------- rendering
 
 
-def render_matrix(M):
-    rows = ", ".join(
-        "[" + ", ".join(M.ring.render(e) for e in row) + "]" for row in M.rows
-    )
-    return f"[{rows}]"
-
-
 def render_complex(X):
     """Canonical literal: d-blocks wherever both ends have rank, rank
     entries only for degrees no block pins down."""
@@ -542,7 +535,7 @@ def render_complex(X):
     pinned = set()
     for n in range(lo, hi + 1):
         if X.rank(n) and X.rank(n + 1):
-            parts.append(f"d({n}) = {render_matrix(X.diff(n))}")
+            parts.append(f"d({n}) = {X.diff(n).render()}")
             pinned.add(n)
             pinned.add(n + 1)
     for n in range(lo, hi + 1):

@@ -149,80 +149,27 @@ class Matrix:
     # assembly -----------------------------------------------------------
 
     @classmethod
-    def hstack(cls, ring, blocks, nrows=None):
-        blocks = list(blocks)
-        if not blocks:
-            if nrows is None:
-                raise ValueError("nrows required for empty hstack")
-            return cls.zero(ring, nrows, 0)
-        nrows = blocks[0].nrows
-        if any(b.nrows != nrows for b in blocks):
-            raise ValueError("hstack blocks disagree on row count")
-        rows = [sum((list(b.rows[i]) for b in blocks), []) for i in range(nrows)]
-        return cls(ring, rows, nrows, sum(b.ncols for b in blocks))
-
-    @classmethod
-    def vstack(cls, ring, blocks, ncols=None):
-        blocks = list(blocks)
-        if not blocks:
-            if ncols is None:
-                raise ValueError("ncols required for empty vstack")
-            return cls.zero(ring, 0, ncols)
-        ncols = blocks[0].ncols
-        if any(b.ncols != ncols for b in blocks):
-            raise ValueError("vstack blocks disagree on column count")
-        rows = [r for b in blocks for r in b.rows]
-        return cls(ring, rows, sum(b.nrows for b in blocks), ncols)
-
-    @classmethod
-    def block(cls, ring, grid):
-        """Assemble from a 2d grid of matrices (entries may be None for
-        zero blocks once the row/col sizes are pinned by neighbors)."""
-        nrow_blocks = len(grid)
-        ncol_blocks = len(grid[0]) if nrow_blocks else 0
-        row_sizes = [None] * nrow_blocks
-        col_sizes = [None] * ncol_blocks
-        for i, row in enumerate(grid):
-            for j, b in enumerate(row):
-                if b is None:
-                    continue
-                if row_sizes[i] is None:
-                    row_sizes[i] = b.nrows
-                elif row_sizes[i] != b.nrows:
-                    raise ValueError("block grid row sizes disagree")
-                if col_sizes[j] is None:
-                    col_sizes[j] = b.ncols
-                elif col_sizes[j] != b.ncols:
-                    raise ValueError("block grid col sizes disagree")
-        if any(s is None for s in row_sizes) or any(s is None for s in col_sizes):
-            raise ValueError("block grid has an unconstrained zero block")
-        vblocks = []
-        for i, row in enumerate(grid):
-            h = [
-                b if b is not None else cls.zero(ring, row_sizes[i], col_sizes[j])
-                for j, b in enumerate(row)
-            ]
-            vblocks.append(cls.hstack(ring, h, nrows=row_sizes[i]))
-        return cls.vstack(ring, vblocks, ncols=sum(col_sizes))
-
-    @classmethod
-    def direct_sum(cls, ring, blocks):
-        blocks = list(blocks)
-        if not blocks:
-            return cls.zero(ring, 0, 0)
-        if len(blocks) == 1:
-            return blocks[0]
-        grid = [
-            [b if i == j else None for j in range(len(blocks))]
-            for i, b in enumerate(blocks)
-        ]
-        return cls.block(ring, grid)
+    def from_blocks(cls, ring, nrows, ncols, blocks):
+        """The nrows x ncols matrix with each (row, col, M) of blocks
+        written at that offset, and zeros everywhere else."""
+        z = ring.zero()
+        out = [[z] * ncols for _ in range(nrows)]
+        for i, j, M in blocks:
+            if M.ring != ring:
+                raise RingMismatchError("block over a different ring")
+            if i < 0 or j < 0 or i + M.nrows > nrows or j + M.ncols > ncols:
+                raise ValueError(
+                    f"{M.nrows}x{M.ncols} block at ({i}, {j}) does not fit {nrows}x{ncols}"
+                )
+            for r, row in enumerate(M.rows):
+                out[i + r][j : j + M.ncols] = row
+        return cls(ring, out, nrows, ncols)
 
     # rendering ----------------------------------------------------------
 
     def render(self):
-        R = self.ring
-        return "[" + ",".join("[" + ",".join(R.render(x) for x in r) + "]" for r in self.rows) + "]"
+        rows = ", ".join("[" + ", ".join(map(self.ring.render, r)) + "]" for r in self.rows)
+        return f"[{rows}]"
 
     def __repr__(self):
         return f"Matrix({self.ring.describe()}, {self.nrows}x{self.ncols}, {self.render()})"

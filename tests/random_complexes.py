@@ -3,7 +3,7 @@ assembled from two-term and free singleton blocks and conjugated by
 random elementary transformations.  A helper module, not a test module;
 it imports the package, which `oracles.py` never does."""
 
-from thickgen.complexes import ChainMap, FreeComplex, direct_sum, free_singleton, two_term
+from thickgen.complexes import ChainMap, FreeComplex, direct_sum, two_term
 from thickgen.errors import TierError
 from thickgen.matrices import Matrix
 from thickgen.rings import RingElem
@@ -23,7 +23,6 @@ def random_complex(ring, rng, max_rank=4, degree_span=4, lo_range=(-2, 1)):
     blocks = []
     # ensure at least one free singleton so homology is nonzero
     blocks.append(("free", rng.randint(lo, lo + span - 1), None))
-    budget = max_rank * 2
     used = {}
     for _ in range(rng.randint(1, 4)):
         kind = rng.choice(["two", "free"])
@@ -50,7 +49,7 @@ def _block_pieces(ring, blocks):
         if kind == "two":
             pieces.append(two_term(ring, RingElem(ring, payload), d + 1))
         else:
-            pieces.append(free_singleton(ring, d))
+            pieces.append(FreeComplex(ring, {d: 1}, {}))
     return pieces
 
 

@@ -6,15 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (
-    all_pairs_groebner,
-    linear_membership,
-    mp_add,
-    mp_const,
-    mp_mul,
-    mp_scale,
-    mp_var,
-)
+from oracles import all_pairs_groebner, linear_membership, mp_const, mp_var
 from thickgen.budget import StepCounter
 from thickgen.groebner import buchberger, normal_form, reduce_basis, s_polynomial
 from thickgen.ideals import Ideal

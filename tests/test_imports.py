@@ -1,14 +1,17 @@
-"""Every module-level import in the package's modules is used.  Read
-with the standard library's `ast`, so no import runs; `__init__.py` is
-skipped, since its imports are the package's re-exports."""
+"""Every module-level import in the package's modules and in the test
+files (helpers included) is used.  Read with the standard library's
+`ast`, so no import runs; the package's `__init__.py` is skipped, since
+its imports are the package's re-exports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "thickgen"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "thickgen"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source):
@@ -32,3 +35,8 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", TEST_FILES)
+def test_test_file_has_no_unused_import(name):
+    assert unused_imports((TESTS / name).read_text(encoding="utf-8")) == []

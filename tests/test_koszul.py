@@ -30,52 +30,35 @@ RINGS = {
 }
 
 
-def kron(A, B):
-    """Kronecker product, row index (i1, i2) -> i1 * B.nrows + i2."""
-    R = A.ring
-    p, q = B.nrows, B.ncols
-    out = [[R.zero()] * (A.ncols * q) for _ in range(A.nrows * p)]
-    for i1, r1 in enumerate(A.rows):
-        for j1, a in enumerate(r1):
-            for i2, r2 in enumerate(B.rows):
-                for j2, b in enumerate(r2):
-                    if a and b:
-                        out[i1 * p + i2][j1 * q + j2] = R.mul(a, b)
-    return Matrix(R, out, A.nrows * p, A.ncols * q)
-
-
 def tensor(X, Y):
-    """Tensor product complex with d(x (x) y) = dx (x) y + (-1)^p x (x) dy;
-    summands of degree n ordered by ascending X-degree p."""
+    """Tensor product complex with d(x (x) y) = dx (x) y + (-1)^p x (x) dy,
+    written entry by entry.  The basis of degree n is x_a (x) y_b with x_a
+    in X^p and y_b in Y^(n-p), by ascending p, then a, then b."""
     ring = X.ring
     if X.is_zero_complex() or Y.is_zero_complex():
         return zero_complex(ring)
 
-    def summands(n):
-        return [(p, n - p) for p in X.degrees() if X.rank(p) and Y.rank(n - p)]
+    def basis(n):
+        return [
+            (p, a, b) for p in X.degrees() for a in range(X.rank(p)) for b in range(Y.rank(n - p))
+        ]
+
+    def entry(n, row, col):
+        (p2, a2, b2), (p, a, b) = row, col
+        if p2 == p + 1 and b2 == b:
+            return X.diff(p).entry(a2, a)
+        if p2 == p and a2 == a:
+            e = Y.diff(n - p).entry(b2, b)
+            return ring.neg(e) if p % 2 else e
+        return ring.zero()
 
     lo, hi = X.lo() + Y.lo(), X.hi() + Y.hi()
-    ranks = {n: sum(X.rank(p) * Y.rank(q) for p, q in summands(n)) for n in range(lo, hi + 1)}
+    ranks = {n: len(basis(n)) for n in range(lo, hi + 1)}
     diffs = {}
     for n in range(lo, hi):
-        cols, rows = summands(n), summands(n + 1)
-        if not cols or not rows:
-            continue
-        grid = []
-        for p2, q2 in rows:
-            row = []
-            for p, q in cols:
-                if (p2, q2) == (p + 1, q):
-                    row.append(kron(X.diff(p), Matrix.identity(ring, Y.rank(q))))
-                elif (p2, q2) == (p, q + 1):
-                    sign = ring.from_int(-1 if p % 2 else 1)
-                    row.append(kron(Matrix.identity(ring, X.rank(p)), Y.diff(q)).scale(sign))
-                else:
-                    row.append(
-                        Matrix.zero(ring, X.rank(p2) * Y.rank(q2), X.rank(p) * Y.rank(q))
-                    )
-            grid.append(row)
-        diffs[n] = Matrix.block(ring, grid)
+        cols, rows = basis(n), basis(n + 1)
+        out = [[entry(n, r, c) for c in cols] for r in rows]
+        diffs[n] = Matrix(ring, out, len(rows), len(cols))
     return FreeComplex(ring, ranks, diffs)
 
 

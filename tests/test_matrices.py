@@ -1,9 +1,10 @@
-"""Matrix container algebra: blocks, stacking, empty shapes."""
+"""Matrix container algebra: block layout, empty shapes, rendering."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thickgen.errors import RingMismatchError
 from thickgen.matrices import Matrix
 from thickgen.rings import ZZ, Zmod
 
@@ -54,34 +55,32 @@ def test_addition_is_componentwise(A, B):
 def test_block_assembles_with_zero_fills():
     A = Matrix(ZZ, [[1, 2], [3, 4]])
     B = Matrix(ZZ, [[5], [6]])
-    M = Matrix.block(ZZ, [[A, B], [None, Matrix.identity(ZZ, 1)]])
+    M = Matrix.from_blocks(ZZ, 3, 3, [(0, 0, A), (0, 2, B), (2, 2, Matrix.identity(ZZ, 1))])
     assert M.to_lists() == [[1, 2, 5], [3, 4, 6], [0, 0, 1]]
 
 
-def test_block_rejects_ragged_grid():
-    A = Matrix(ZZ, [[1, 2]])
-    B = Matrix(ZZ, [[1], [2]])
-    with pytest.raises(ValueError):
-        Matrix.block(ZZ, [[A], [B]])
-
-
-def test_direct_sum_and_empty_blocks():
+def test_from_blocks_places_zero_size_blocks():
+    # the differentials at the rank-0 ends of a complex are 0 x r and r x 0
     A = Matrix(ZZ, [[2]])
-    E = Matrix.zero(ZZ, 0, 3)
-    S = Matrix.direct_sum(ZZ, [A, E])
-    assert (S.nrows, S.ncols) == (1, 4)
-    assert Matrix.direct_sum(ZZ, []).shape() == (0, 0)
+    blocks = [(0, 0, Matrix.zero(ZZ, 0, 3)), (0, 3, A), (1, 4, Matrix.zero(ZZ, 2, 0))]
+    assert Matrix.from_blocks(ZZ, 1, 4, blocks[:2]).to_lists() == [[0, 0, 0, 2]]
+    assert Matrix.from_blocks(ZZ, 3, 4, blocks).to_lists() == [[0, 0, 0, 2]] + [[0] * 4] * 2
+    assert Matrix.from_blocks(ZZ, 0, 0, [(0, 0, Matrix.zero(ZZ, 0, 0))]).shape() == (0, 0)
+    assert Matrix.from_blocks(ZZ, 2, 0, []) == Matrix.zero(ZZ, 2, 0)
 
 
-def test_hstack_vstack_roundtrip():
-    A = Matrix(ZZ, [[1, 2], [3, 4]])
-    left, right = Matrix(ZZ, [[1], [3]]), Matrix(ZZ, [[2], [4]])
-    assert Matrix.hstack(ZZ, [left, right]) == A
-    top, bottom = Matrix(ZZ, [[1, 2]]), Matrix(ZZ, [[3, 4]])
-    assert Matrix.vstack(ZZ, [top, bottom]) == A
+@pytest.mark.parametrize("at", [(0, 2), (2, 0), (-1, 0), (0, -1)])
+def test_from_blocks_rejects_a_block_that_does_not_fit(at):
+    with pytest.raises(ValueError):
+        Matrix.from_blocks(ZZ, 2, 3, [(*at, Matrix(ZZ, [[1, 2]]))])
+
+
+def test_from_blocks_rejects_a_block_over_another_ring():
+    with pytest.raises(RingMismatchError):
+        Matrix.from_blocks(ZZ, 1, 1, [(0, 0, Matrix(Zmod(12), [[1]]))])
 
 
 def test_render_and_hash_stability():
     A = Matrix(ZZ, [[1, -2], [0, 3]])
-    assert A.render() == "[[1,-2],[0,3]]"
+    assert A.render() == "[[1, -2], [0, 3]]"
     assert hash(A) == hash(Matrix(ZZ, [[1, -2], [0, 3]]))

@@ -255,7 +255,10 @@ def _two_step_lattice(A, mu):
     """{v : A v in mu*D^m} the long way: the kernel of [A | mu*I], its
     first A.ncols rows, and a second Hermite pass over them."""
     R, n = A.ring, A.ncols
-    wide = kernel_basis(Matrix.hstack(R, [A, Matrix.scalar(R, mu, A.nrows)]))
+    muI = Matrix.scalar(R, mu, A.nrows)
+    wide = kernel_basis(
+        Matrix(R, [a + m for a, m in zip(A.rows, muI.rows)], A.nrows, n + A.nrows)
+    )
     return hermite_basis(Matrix(R, wide.rows[:n], n, wide.ncols))
 
 
