@@ -156,18 +156,6 @@ def direct_sum(complexes):
     return FreeComplex(ring, ranks, diffs)
 
 
-def summand_projection(complexes, which):
-    """Chain map proj: direct_sum(complexes) -> complexes[which]."""
-    total = direct_sum(complexes)
-    part = complexes[which]
-    comps = {}
-    for n in part.degrees():
-        before = sum(c.rank(n) for c in complexes[:which])
-        I = Matrix.identity(total.ring, part.rank(n))
-        comps[n] = Matrix.from_blocks(total.ring, part.rank(n), total.rank(n), [(0, before, I)])
-    return ChainMap(total, part, comps)
-
-
 class ChainMap:
     __slots__ = ("src", "dst", "comps")
 
@@ -288,7 +276,6 @@ def koszul(ideal):
 
 def is_quasi_iso(f):
     """True when cone(f) is exact in every degree."""
-    from .homology import homology
+    from .homology import homology_all
 
-    C = cone(f)
-    return all(homology(C, n).is_zero() for n in C.degrees())
+    return all(H.is_zero() for H in homology_all(cone(f)).values())

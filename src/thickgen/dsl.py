@@ -22,7 +22,7 @@ from .generation import (
     thick_member,
     validate_witness,
 )
-from .homology import ann_total_homology, homology, resolve_primes, supph
+from .homology import ann_total_homology, homology_all, resolve_primes, supph
 from .ideals import Ideal
 from .matrices import Matrix
 from .rings import GF, QQ, ZZ, RingElem, UniQuotRing, Zmod, poly_ring
@@ -572,11 +572,11 @@ def _cmd_koszul(session, cmd):
 def _cmd_homology(session, cmd):
     X = session.get(cmd.args[0], "complex")
     block = ["command: homology"]
-    degs = X.degrees()
-    if not degs:
+    modules = homology_all(X)
+    if not modules:
         block.append("trivial: yes")
-    for n in degs:
-        block.append(f"H({n}): {homology(X, n).render()}")
+    for n, H in modules.items():
+        block.append(f"H({n}): {H.render()}")
     return [block]
 
 

@@ -2,16 +2,28 @@
 annihilators and homological support.
 
 Every Tier-1 ring is R = D/(mu) for a Euclidean cover ring D, with
-mu = 0 when R is D itself, and all the work happens in D on lifted
-matrices, on one path for both.  H^n = ker(d^n)/im(d^(n-1)) is read
-from the kernel lattice L = {v : d^n v in mu*D^m}, whose Hermite basis
-K is one column Hermite form of [[d^n, mu*I] ; [I, 0]]
-(snf.kernel_basis).  L is ker(d^n) when mu = 0 and contains mu*I
-otherwise.  The relations, the nonzero columns of [d^(n-1) | mu*I],
-are written in K coordinates (solve_exact, again a Hermite form), and
-one Smith form per degree gives the invariants: units vanish, factors
-associate to mu (zero when mu = 0) are free of rank one, and the rest
-are torsion.
+mu = 0 when R is D itself.  The modulus picks one of two readings of
+H^n = ker(d^n)/im(d^(n-1)), both done in D.
+
+Over D itself (mu = 0: Z, Q, F_p, k[x]) ker(d^n) is a direct summand
+of rank rank_n - rk d^n that contains im(d^(n-1)), so
+
+    H^n = D^(rank_n - rk d^n - rk d^(n-1)) (+) D/(s_1) (+) ... (+) D/(s_k)
+
+with s_i the non-unit invariant factors of d^(n-1) (Munkres, Elements
+of Algebraic Topology, section 11).  Each differential's invariant
+factors (snf.invariant_factors, a Smith form without transforms) are
+all the reading needs, and homology_all computes them once per
+differential for every degree.
+
+Over D/(mu) with mu nonzero (Z/m, k[t]/(f)) the reading goes through
+the kernel lattice L = {v : d^n v in mu*D^m} of the lifted matrices,
+whose Hermite basis K is one column Hermite form of
+[[d^n, mu*I] ; [I, 0]] (snf.kernel_basis).  L contains mu*I.  The
+relations, the nonzero columns of [d^(n-1) | mu*I], are written in K
+coordinates (solve_exact, again a Hermite form), and one Smith form
+per degree gives the invariants: units vanish, factors associate to mu
+are free of rank one, and the rest are torsion.
 
 Annihilators and supports are principal, so they are computed on cover
 generators: the total annihilator is the lcm of the per-degree ones,
@@ -26,7 +38,7 @@ from .errors import TierError
 from .ideals import Ideal, euclid_radical_member
 from .matrices import Matrix
 from .rings import RingElem
-from .snf import kernel_basis, smith_normal_form, solve_exact
+from .snf import invariant_factors, kernel_basis, smith_normal_form, solve_exact
 from .spectrum import prime_factors
 
 
@@ -112,8 +124,38 @@ def require_tier_one(ring):
 
 def homology(X, n):
     """H^n(X) as an FPModule over X.ring (Tier 1 only)."""
+    require_tier_one(X.ring)
+    if X.ring.modulus:
+        return _quotient_homology(X, n)
+    return _free_homology(X, n, {m: invariant_factors(X.diff(m)) for m in (n - 1, n)})
+
+
+def homology_all(X):
+    """Dict degree -> FPModule, over the degrees where X has a module;
+    over D itself each differential's invariant factors are computed
+    once for all degrees.  The zero complex has no degrees, over any
+    ring."""
+    if X.is_zero_complex():
+        return {}
+    require_tier_one(X.ring)
+    if X.ring.modulus:
+        return {n: _quotient_homology(X, n) for n in X.degrees()}
+    factors = {n: invariant_factors(d) for n, d in X.diffs.items()}
+    return {n: _free_homology(X, n, factors) for n in X.degrees()}
+
+
+def _free_homology(X, n, factors):
+    """H^n over D, from `factors`, the invariant factors of differentials
+    by degree (a missing degree has none): ker d^n has rank
+    rank_n - rk d^n and contains im d^(n-1) as a submodule with the
+    invariant factors of d^(n-1)."""
+    return _read_invariants(X.ring, X.rank(n) - len(factors.get(n, ())), factors.get(n - 1, ()))
+
+
+def _quotient_homology(X, n):
+    """H^n over D/(mu), mu nonzero, from the kernel lattice of the
+    lifted d^n and the relations of [d^(n-1) | mu*I] in its basis."""
     ring = X.ring
-    require_tier_one(ring)
     cover, mu = ring.cover_ring, ring.modulus
     K = kernel_basis(X.diff(n).map_entries(ring.lift, cover), mu)
     d = X.diff(n - 1).map_entries(ring.lift, cover)
@@ -123,11 +165,6 @@ def homology(X, n):
         return FPModule(ring, K.ncols, ())
     snf = smith_normal_form(solve_exact(K, Matrix(cover, zip(*rels), d.nrows, len(rels))))
     return _read_invariants(ring, K.ncols, snf.diagonal)
-
-
-def homology_all(X):
-    """Dict degree -> FPModule, over the degrees where X has a module."""
-    return {n: homology(X, n) for n in X.degrees()}
 
 
 def ann_total_homology(X):

@@ -11,13 +11,16 @@ smith_normal_form(A) returns unimodular U, V and D with
 
 D diagonal, each diagonal entry dividing the next, zeros last, all
 entries canonical associates (nonnegative over Z, monic over k[x]).
-It alternates Hermite passes (Kannan and Bachem, SIAM J. Comput. 8,
-1979): a column pass takes the column Hermite form of M stacked on V,
-a row pass that of M's rows joined to U's rows.  M is tested for
-Smith form before each pass, so an input already in it runs none.
-When M is diagonal but d_t does not divide d_(t+1), row t + 1 is
-added to row t, and the next column pass puts gcd(d_t, d_(t+1)) at
-(t, t).
+invariant_factors(A) is the nonzero diagonal of D alone, from the
+same passes with empty U and V blocks: a pass then drops the zero rows
+and columns of M, which leaves its nonzero diagonal and the number of
+passes as they are.  The passes alternate Hermite forms (Kannan and
+Bachem, SIAM J. Comput. 8, 1979): a column pass takes the column
+Hermite form of M stacked on V, a row pass that of M's rows joined to
+U's rows.  M is tested for Smith form before each pass, so an input
+already in it runs none.  When M is diagonal but d_t does not divide
+d_(t+1), row t + 1 is added to row t, and the next column pass puts
+gcd(d_t, d_(t+1)) at (t, t).
 
 The passes end.  A column pass leaves the gcd of the first row of the
 unsettled block at its corner, and a row pass the gcd of its first
@@ -76,29 +79,51 @@ def smith_normal_form(A):
     R = A.ring
     _require_euclidean(R)
     m, n = A.nrows, A.ncols
-    M = A.to_lists()
-    U = Matrix.identity(R, m).to_lists()
-    V = Matrix.identity(R, n).to_lists()
+    M, U, VT = _smith_passes(
+        R, A.to_lists(), Matrix.identity(R, m).to_lists(), Matrix.identity(R, n).to_lists()
+    )
+    return SNFResult(U=Matrix(R, U, m, m), D=Matrix(R, M, m, n), V=Matrix(R, _transpose(VT), n, n))
+
+
+def invariant_factors(A):
+    """The nonzero diagonal of A's Smith form, in divisibility order:
+    the passes of smith_normal_form with empty transform blocks."""
+    R = A.ring
+    _require_euclidean(R)
+    empty_u, empty_vt = [[] for _ in range(A.nrows)], [[] for _ in range(A.ncols)]
+    M, _, _ = _smith_passes(R, A.to_lists(), empty_u, empty_vt)
+    return [x for x in _diagonal(M) if x]
+
+
+def _smith_passes(R, M, U, VT):
+    """(M, U, VT) once M is in Smith form: alternating Hermite passes on
+    M's columns and rows, carrying the columns of V (as the rows of VT)
+    and the rows of U.  A pass drops the lines that come out zero in
+    both blocks, so with empty transforms M loses its zero rows and
+    columns, which leaves its nonzero diagonal as it is."""
     counter = StepCounter("smith_normal_form")
     by_columns = True
     while True:
         if _is_canonical_diagonal(R, M):
-            d = [M[i][i] for i in range(min(m, n))]
+            d = _diagonal(M)
             t = next((t for t in range(len(d) - 1) if not _divides(R, d[t], d[t + 1])), None)
             if t is None:
-                break
+                return M, U, VT
             # fold; the column pass puts gcd(d_t, d_(t+1)) at (t, t)
             for X in (M, U):
                 X[t] = [R.add(a, b) for a, b in zip(X[t], X[t + 1])]
             by_columns = True
         counter.tick()
         if by_columns:
-            MT, VT = _hermite_rows(R, _transpose(M), _transpose(V))
-            M, V = _transpose(MT), _transpose(VT)
+            MT, VT = _hermite_rows(R, _transpose(M), VT)
+            M = _transpose(MT)
         else:
             M, U = _hermite_rows(R, M, U)
         by_columns = not by_columns
-    return SNFResult(U=Matrix(R, U, m, m), D=Matrix(R, M, m, n), V=Matrix(R, V, n, n))
+
+
+def _diagonal(M):
+    return [row[i] for i, row in enumerate(M) if i < len(row)]
 
 
 def _is_canonical_diagonal(R, M):

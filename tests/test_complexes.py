@@ -13,7 +13,6 @@ from thickgen.complexes import (
     direct_sum,
     is_quasi_iso,
     koszul,
-    summand_projection,
     two_term,
     zero_complex,
 )
@@ -29,6 +28,18 @@ def composite(g, f):
     """g after f, composed degree by degree."""
     assert f.dst == g.src
     return ChainMap(f.src, g.dst, {n: g.comp(n) @ f.comp(n) for n in f.src.degrees()})
+
+
+def summand_projection(complexes, which):
+    """Chain map proj: direct_sum(complexes) -> complexes[which]."""
+    total = direct_sum(complexes)
+    part = complexes[which]
+    comps = {}
+    for n in part.degrees():
+        before = sum(c.rank(n) for c in complexes[:which])
+        I = Matrix.identity(total.ring, part.rank(n))
+        comps[n] = Matrix.from_blocks(total.ring, part.rank(n), total.rank(n), [(0, before, I)])
+    return ChainMap(total, part, comps)
 
 
 def injection(parts, which):

@@ -92,22 +92,25 @@ def test_level_rejects_exact_inputs():
 
 
 def _count_homology_calls(monkeypatch):
-    # the package re-exports the function `homology` under the module's name
+    # homology over Z reads each differential's invariant factors, so
+    # count those calls, one shape per differential read
     module = importlib.import_module("thickgen.homology")
     calls = []
-    homology = module.homology
-    monkeypatch.setattr(module, "homology", lambda C, n: calls.append(n) or homology(C, n))
+    invariant_factors = module.invariant_factors
+    monkeypatch.setattr(
+        module, "invariant_factors", lambda A: calls.append(A.shape()) or invariant_factors(A)
+    )
     return calls
 
 
 @pytest.mark.parametrize("x,cert_type", [(6, NotInThickCert), (4, LowerBoundCert)])
 def test_level_bound_takes_each_homology_once(monkeypatch, x, cert_type):
-    # X and G each have two degrees: one homology pass per complex is 4
-    # calls, where reading annihilators and supports apart took 8
+    # X and G each have one differential, read once by the one homology
+    # sweep that annihilators and supports share
     calls = _count_homology_calls(monkeypatch)
     cert = level_lower_bound(koszul(Ideal(ZZ, [x])), koszul(Ideal(ZZ, [2])))
     assert isinstance(cert, cert_type)
-    assert len(calls) == 4
+    assert calls == [(1, 1), (1, 1)]
 
 
 # ------------------------------------------------- annihilator cone lemma

@@ -2,12 +2,15 @@
 
 import hashlib
 import importlib
+import io
 import random
+import time
 import zlib
 
 import pytest
 
 from thickgen import snf
+from thickgen.cli import run_script
 from thickgen.complexes import ChainMap, FreeComplex, cone, koszul, two_term
 from thickgen.errors import EngineError, TierError
 from thickgen.homology import (
@@ -17,6 +20,7 @@ from thickgen.homology import (
     closed_set,
     fp_direct_sum,
     homology,
+    homology_all,
     resolve_primes,
     supph,
 )
@@ -24,10 +28,11 @@ from thickgen.ideals import Ideal
 from thickgen.matrices import Matrix
 from thickgen.polys import uni_deg
 from thickgen.rings import GF, QQ, ZZ, RingElem, UniQuotRing, Zmod, poly_ring
-from thickgen.snf import smith_normal_form
+from thickgen.snf import kernel_basis, smith_normal_form, solve_exact
 
 from oracles import TWO_TERM_H0, minor_gcd_invariants
 from random_complexes import random_chain_map
+from test_workload_bytes import load_workloads
 
 
 def _module_signature(M):
@@ -217,12 +222,21 @@ def test_wide_quotient_cone_homology_terminates_quickly():
     assert time.monotonic() - t0 < 5.0
 
 
-@pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=["Z", "Z/12"])
-def test_one_homology_degree_runs_one_smith_form(ring, monkeypatch):
-    # the kernel lattice basis and solve_exact both come from one
-    # Hermite form each, with no second Hermite pass; only the
-    # relations' invariants need a Smith form
-    calls = {"smith_normal_form": 0, "kernel_basis": 0, "hermite_basis": 0}
+@pytest.mark.parametrize(
+    "ring,expected",
+    [
+        (ZZ, dict(invariant_factors=2, smith_normal_form=0, kernel_basis=0, solve_exact=0)),
+        (Zmod(12), dict(invariant_factors=0, smith_normal_form=1, kernel_basis=1, solve_exact=1)),
+    ],
+    ids=["Z", "Z/12"],
+)
+def test_one_homology_degree_runs_one_smith_form(ring, expected, monkeypatch):
+    # over Z a degree reads the invariant factors of its two
+    # differentials and no lattice; over Z/12 the kernel lattice basis
+    # and solve_exact both come from one Hermite form each, with no
+    # second Hermite pass, and only the relations need a Smith form
+    expected = dict(expected, hermite_basis=0)
+    calls = dict.fromkeys(expected, 0)
 
     def counted(name, fn):
         def wrapped(*args):
@@ -240,7 +254,7 @@ def test_one_homology_degree_runs_one_smith_form(ring, monkeypatch):
                 monkeypatch.setattr(owner, name, wrapped)
     H = homology(koszul(Ideal(ring, [2, 3])), -1)
     assert H.is_zero()
-    assert calls == {"smith_normal_form": 1, "kernel_basis": 1, "hermite_basis": 0}
+    assert calls == expected
 
 
 def test_kernel_lattice_that_misses_a_column_is_an_engine_error(monkeypatch):
@@ -305,6 +319,30 @@ def test_homology_renders_are_pinned(name):
     assert h.hexdigest() == digest
 
 
+def _lattice_homology(X, n):
+    """H^n over a Euclidean ring the long way: a basis K of ker d^n,
+    im d^(n-1) written in K coordinates, and the Smith form of that."""
+    R = X.ring
+    K = kernel_basis(X.diff(n))
+    d = X.diff(n - 1)
+    diag = smith_normal_form(solve_exact(K, d)).diagonal if K.ncols and d.ncols else []
+    torsion = tuple(x for x in diag if x and not R.is_unit(x))
+    return FPModule(R, K.ncols - sum(1 for x in diag if x), torsion)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ZZ, QQ, GF(7), poly_ring(QQ, ["x"]), poly_ring(GF(5), ["x"])],
+    ids=["Z", "Q", "F7", "Q[x]", "F5[x]"],
+)
+def test_homology_from_invariant_factors_matches_the_kernel_lattice(ring):
+    rng = random.Random(zlib.crc32(b"lattice " + ring.describe().encode()))
+    for _ in range(20):
+        f = random_chain_map(ring, rng)
+        for X in (f.src, f.dst, cone(f)):
+            assert homology_all(X) == {n: _lattice_homology(X, n) for n in X.degrees()}
+
+
 def test_quotient_polynomial_cone_homology_matches_euler_characteristic():
     # over Q[t]/(t^6 + 1) the Smith form of this cone's H^-1 once ran
     # for over a minute on matrices of rank at most 3, with Fraction
@@ -323,3 +361,53 @@ def test_quotient_polynomial_cone_homology_matches_euler_characteristic():
         chi_h += sign * (deg * H.free_rank + sum(uni_deg(R.lift(g)) for g in H.factors))
         chi_c += sign * deg * C.rank(n)
     assert chi_h == chi_c
+
+
+def test_ann_of_koszul_on_ten_primes_over_z_is_fast():
+    # the per-degree kernel lattices and Smith transforms of this input
+    # once took 81 s; its differentials' invariant factors take about 1 s
+    script = (
+        "ring R = Z\nideal I over R = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)\n"
+        "koszul I as K\nann K\n"
+    )
+    out = io.StringIO()
+    start = time.perf_counter()
+    code = run_script(script, machine=True, out=out)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out.getvalue().endswith("ann: (1)\n")
+    assert elapsed < 20.0
+
+
+def test_invariant_factor_passes_keep_entries_small(monkeypatch):
+    # the benchmark's 7-generator Koszul complexes and 10 x 10 integer
+    # differentials: the Hermite forms of their invariant factor passes
+    # return entries of at most 8 bits.  The bound of 16 leaves twice
+    # that, and passes that skip the back-reduction reach 17
+    homology_module = importlib.import_module("thickgen.homology")
+    invariant_factors, hermite_columns = snf.invariant_factors, snf._hermite_columns
+    inside, widest = [], [0]
+
+    def traced_factors(A):
+        inside.append(A)
+        try:
+            return invariant_factors(A)
+        finally:
+            inside.pop()
+
+    def traced_columns(R, nrows, cols):
+        fixed, pivot_rows = hermite_columns(R, nrows, cols)
+        if inside:
+            widest[0] = max([widest[0]] + [abs(x).bit_length() for c in fixed for x in c])
+        return fixed, pivot_rows
+
+    monkeypatch.setattr(homology_module, "invariant_factors", traced_factors)
+    monkeypatch.setattr(snf, "_hermite_columns", traced_columns)
+    scripts = [
+        s
+        for s in load_workloads()["homology-growth"](1)
+        if s.name.startswith(("koszul7-", "square10-"))
+    ]
+    assert len(scripts) == 8
+    for script in scripts:
+        assert run_script(script.text, machine=True, out=io.StringIO()) == 0
+    assert 0 < widest[0] <= 16

@@ -14,7 +14,13 @@ from thickgen import budget, snf
 from thickgen.errors import NoSolutionError, StepBudgetExceededError
 from thickgen.matrices import Matrix
 from thickgen.rings import GF, QQ, ZZ, poly_ring
-from thickgen.snf import hermite_basis, kernel_basis, smith_normal_form, solve_exact
+from thickgen.snf import (
+    hermite_basis,
+    invariant_factors,
+    kernel_basis,
+    smith_normal_form,
+    solve_exact,
+)
 
 
 def int_matrix(rows):
@@ -150,7 +156,9 @@ def test_kernel_basis_runs_no_smith_form(solver, monkeypatch):
         assert A @ solve_exact(A, B) == B
 
 
-@pytest.mark.parametrize("solver", [kernel_basis, hermite_basis, solve_exact, smith_normal_form])
+@pytest.mark.parametrize(
+    "solver", [kernel_basis, hermite_basis, solve_exact, smith_normal_form, invariant_factors]
+)
 def test_hermite_forms_run_under_the_step_budget(solver, monkeypatch):
     # the gcd cascade ticks its own counter, so it cannot run unbounded,
     # and a Smith form does all its elimination in Hermite passes
@@ -235,6 +243,45 @@ def test_hermite_basis_is_echelon_and_spans():
             i = next(i for i in range(H.nrows) if int(H.entry(i, j)) != 0)
             assert i > last
             last = i
+
+
+def _sparse_random_matrix(R, rng, m, n):
+    """A random m x n matrix with some of its rows and columns zeroed."""
+    zero_rows = {i for i in range(m) if rng.random() < 0.25}
+    zero_cols = {j for j in range(n) if rng.random() < 0.25}
+    return Matrix.build(
+        R,
+        m,
+        n,
+        lambda i, j: R.zero() if i in zero_rows or j in zero_cols else R.random_element(rng),
+    )
+
+
+@pytest.mark.parametrize(
+    "R", [ZZ, poly_ring(QQ, ["x"]), poly_ring(GF(5), ["x"])], ids=["Z", "Q[x]", "F5[x]"]
+)
+def test_invariant_factors_are_the_smith_diagonal(R, monkeypatch):
+    # the same passes with empty transforms: the same invariants, and the
+    # same number of passes, even where a pass drops a zero row or column
+    passes = []
+    tick = budget.StepCounter.tick
+
+    def counted(counter, n=1):
+        if counter.label == "smith_normal_form":
+            passes[-1] += n
+        return tick(counter, n)
+
+    monkeypatch.setattr(budget.StepCounter, "tick", counted)
+    rng = random.Random(zlib.crc32(R.describe().encode()))
+    shapes = [(0, k) for k in range(4)] + [(k, 0) for k in range(1, 4)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(150)]
+    for m, n in shapes:
+        A = _sparse_random_matrix(R, rng, m, n)
+        passes.append(0)
+        expected = smith_normal_form(A).invariants
+        passes.append(0)
+        assert invariant_factors(A) == expected
+        assert passes[-1] == passes[-2]
 
 
 def test_kernel_basis_entries_stay_small():
