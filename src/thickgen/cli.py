@@ -5,7 +5,6 @@ whole run and flushes only on success, so failed runs emit nothing on
 stdout.  Exit codes: 0 success, 1 parse error, 2 engine error.
 """
 
-import argparse
 import sys
 
 from .dsl import parse_script, run_command
@@ -13,6 +12,10 @@ from .errors import EngineError, ParseError
 
 
 def build_arg_parser():
+    # imported here, so that importing the package for its engine (a
+    # benchmark worker, a test) does not load argparse
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="thickgen",
         description="exact homological calculator for perfect complexes "

@@ -47,7 +47,9 @@ def _blocks(ring, blocks, shape, what, label):
 
 
 class FreeComplex:
-    __slots__ = ("ring", "ranks", "diffs")
+    # _homology: the degree -> FPModule dict that homology.homology_all
+    # stores on its first call; a complex does not change once built
+    __slots__ = ("ring", "ranks", "diffs", "_homology")
 
     def __init__(self, ring, ranks, diffs):
         ranks = {n: r for n, r in ranks.items() if r}
@@ -69,6 +71,7 @@ class FreeComplex:
             nxt = self.diffs.get(n + 1)
             if nxt is not None and not (nxt @ d).is_zero():
                 raise ComplexFormatError(f"d({n + 1}) after d({n}) is nonzero", degree=n)
+        self._homology = None
 
     # shape ----------------------------------------------------------------
 

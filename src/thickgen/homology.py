@@ -25,6 +25,15 @@ coordinates (solve_exact, again a Hermite form), and one Smith form
 per degree gives the invariants: units vanish, factors associate to mu
 are free of rank one, and the rest are torsion.
 
+homology_all is computed once per complex object: the first call
+stores its dict in a slot of the FreeComplex, which never changes once
+built, and later calls return copies.  Every command that reads a
+complex's homology (homology, ann, support, thick-member, level-lb,
+is_quasi_iso) thus sweeps its differentials once.  Nothing is kept
+outside the object, so an equal but distinct complex, or the same
+script run again, computes afresh.  homology(X, n) reads one degree
+and stores nothing.
+
 Annihilators and supports are principal, so they are computed on cover
 generators: the total annihilator is the lcm of the per-degree ones,
 and V(g) lies in a union of V(h_j) iff the product of the h_j lies in
@@ -131,10 +140,19 @@ def homology(X, n):
 
 
 def homology_all(X):
-    """Dict degree -> FPModule, over the degrees where X has a module;
-    over D itself each differential's invariant factors are computed
-    once for all degrees.  The zero complex has no degrees, over any
-    ring."""
+    """Dict degree -> FPModule, over the degrees where X has a module.
+    The first call on a complex object stores the result on it, and
+    every call returns a fresh copy of what is stored; a call that
+    raises stores nothing."""
+    if X._homology is None:
+        X._homology = _sweep(X)
+    return dict(X._homology)
+
+
+def _sweep(X):
+    """Every degree's homology of X; over D itself each differential's
+    invariant factors are computed once for all degrees.  The zero
+    complex has no degrees, over any ring."""
     if X.is_zero_complex():
         return {}
     require_tier_one(X.ring)

@@ -168,7 +168,12 @@ class Matrix:
     # rendering ----------------------------------------------------------
 
     def render(self):
-        rows = ", ".join("[" + ", ".join(map(self.ring.render, r)) + "]" for r in self.rows)
+        # zero is the only falsy payload, and large differentials are
+        # mostly zeros, so its string is rendered once per matrix
+        render, zero = self.ring.render, self.ring.render(self.ring.zero())
+        rows = ", ".join(
+            "[" + ", ".join([render(x) if x else zero for x in r]) + "]" for r in self.rows
+        )
         return f"[{rows}]"
 
     def __repr__(self):

@@ -411,3 +411,86 @@ def test_invariant_factor_passes_keep_entries_small(monkeypatch):
     for script in scripts:
         assert run_script(script.text, machine=True, out=io.StringIO()) == 0
     assert 0 < widest[0] <= 16
+
+
+def _count_homology_kernels(monkeypatch):
+    """Calls of invariant_factors and kernel_basis made by the homology
+    module, counted from here on."""
+    homology_module = importlib.import_module("thickgen.homology")
+    calls = dict(invariant_factors=0, kernel_basis=0)
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(homology_module, name, counted(name, getattr(snf, name)))
+    return calls
+
+
+# every command that reads homology, on K = K(4, 6) (two differentials,
+# three degrees) and G = K(2) (one differential, two degrees)
+MEMO_SCRIPT = """\
+ideal I over R = (4, 6)
+koszul I as K
+ideal J over R = (2)
+koszul J as G
+homology K
+ann K
+support K
+thick-member K G
+level-lb K G
+homology G
+ann G
+support G
+"""
+
+
+@pytest.mark.parametrize(
+    "ring,expected",
+    [
+        ("Z", dict(invariant_factors=3, kernel_basis=0)),
+        ("Zmod 12", dict(invariant_factors=0, kernel_basis=5)),
+    ],
+    ids=["Z", "Z/12"],
+)
+def test_each_complex_computes_its_homology_once_per_script(ring, expected, monkeypatch):
+    # over Z once per differential of each complex, over Z/12 one kernel
+    # lattice per degree, however many commands read the homology; a
+    # second run of the same text builds new complexes and computes again
+    calls = _count_homology_kernels(monkeypatch)
+    script = f"ring R = {ring}\n" + MEMO_SCRIPT
+    assert run_script(script, machine=True, out=io.StringIO()) == 0
+    assert calls == expected
+    assert run_script(script, machine=True, out=io.StringIO()) == 0
+    assert calls == {name: 2 * n for name, n in expected.items()}
+
+
+def test_equal_complexes_each_compute_their_homology(monkeypatch):
+    calls = _count_homology_kernels(monkeypatch)
+    X, Y = koszul(Ideal(ZZ, [4, 6])), koszul(Ideal(ZZ, [4, 6]))
+    assert X == Y and X is not Y
+    assert homology_all(X) == homology_all(Y)
+    assert calls["invariant_factors"] == 4
+
+
+def test_mutating_the_returned_homology_leaves_the_next_call_alone():
+    X = koszul(Ideal(ZZ, [4, 6]))
+    first = homology_all(X)
+    expected = dict(first)
+    first[0] = FPModule(ZZ, 7, ())
+    del first[-1]
+    assert homology_all(X) == expected
+    assert ann_total_homology(X).render() == "(2)"
+
+
+def test_homology_that_raises_stores_nothing():
+    # a Tier-2 complex builds, and a refused homology is refused again
+    R = poly_ring(QQ, ["x", "y"])
+    X = koszul(Ideal(R, [R.var_elem(0)]))
+    for _ in range(2):
+        with pytest.raises(TierError):
+            homology_all(X)

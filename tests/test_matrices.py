@@ -1,12 +1,14 @@
 """Matrix container algebra: block layout, empty shapes, rendering."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thickgen.errors import RingMismatchError
 from thickgen.matrices import Matrix
-from thickgen.rings import ZZ, Zmod
+from thickgen.rings import GF, QQ, ZZ, UniQuotRing, Zmod, poly_ring
 
 ints = st.integers(min_value=-9, max_value=9)
 
@@ -84,3 +86,35 @@ def test_render_and_hash_stability():
     A = Matrix(ZZ, [[1, -2], [0, 3]])
     assert A.render() == "[[1, -2], [0, 3]]"
     assert hash(A) == hash(Matrix(ZZ, [[1, -2], [0, 3]]))
+
+
+RENDER_RINGS = {
+    "Z": ZZ,
+    "Z/12": Zmod(12),
+    "Q": QQ,
+    "F7": GF(7),
+    "Q[x]": poly_ring(QQ, ["x"]),
+    "F5[x]": poly_ring(GF(5), ["x"]),
+    "F5[t]/(t^2+1)": UniQuotRing(GF(5), "t", tuple(GF(5).from_int(c) for c in (1, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_RINGS))
+def test_render_matches_the_per_entry_join(name):
+    # render writes the zero string once per matrix; every entry,
+    # zero or not, must still read as ring.render reads it alone
+    R = RENDER_RINGS[name]
+    rng = random.Random(name)
+
+    def per_entry(M):
+        return "[" + ", ".join("[" + ", ".join(map(R.render, r)) + "]" for r in M.rows) + "]"
+
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 4)]
+    for nr, nc in shapes:
+        zero = Matrix.zero(R, nr, nc)
+        assert zero.render() == per_entry(zero)
+        for _ in range(10):
+            M = Matrix.build(
+                R, nr, nc, lambda i, j: R.random_element(rng) if rng.random() < 0.5 else R.zero()
+            )
+            assert M.render() == per_entry(M)

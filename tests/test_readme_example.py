@@ -48,3 +48,14 @@ def test_cli_runs_the_readme_example_without_site_packages(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, b"")
     golden = (ROOT / "tests" / "golden" / "readme_example.machine.txt").read_bytes()
     assert proc.stdout == golden
+
+
+def test_importing_the_engine_does_not_load_argparse():
+    # only cli.build_arg_parser needs argparse, so a process that imports
+    # the package to run scripts (a benchmark worker) does not pay for it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, thickgen.cli, thickgen.dsl; print('argparse' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
