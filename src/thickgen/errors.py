@@ -34,6 +34,10 @@ class StepBudgetExceededError(EngineError):
         self.limit = limit
 
 
+class ExponentLimitError(EngineError):
+    """A monomial exponent past polys.EXP_LIMIT."""
+
+
 class RadicalBoundExceededError(EngineError):
     """Radical membership undecided within the configured power bound."""
 

@@ -9,8 +9,9 @@ when they are taken.  Monomial inputs skip the pair loop.
 All routines work on MultiPolyRing payloads and are deterministic:
 pending S-pairs sit in a heap keyed by (sugar, lcm order key, i, j),
 so ties are broken in that order; division always picks the first
-listed divisor, and the returned basis is the reduced Groebner basis
-sorted by descending leading monomial.
+listed divisor, keeping its remainder in a dict with a heap of keys,
+and the returned basis is the reduced Groebner basis sorted by
+descending leading monomial.
 """
 
 import heapq
@@ -26,37 +27,55 @@ def _require_multi(ring):
 
 
 def normal_form(ring, f, basis, counter=None):
-    """Remainder of f under multivariate division by the listed basis."""
-    F, key = ring.F, ring.key
-    rem = f
+    """Remainder of f under multivariate division by the listed basis.
+
+    Terms still to reduce sit in a dict keyed by order key, with a heap
+    of negated keys; a key that cancels is skipped when popped.  A step
+    only adds terms below the one it reduces, so no popped key returns.
+    """
+    F, M = ring.F, ring.mono
+    key = M.key
+    basis = [g for g in basis if g]
+    lms = [g[0][0] for g in basis]
+    rem = {key(m): c for m, c in f}
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
     out = []
-    while rem:
-        e, c = rem[0]
-        hit = None
-        for g in basis:
-            if g and polys.exp_divides(g[0][0], e):
-                hit = g
-                break
-        if hit is None:
+    while heap:
+        k = -heapq.heappop(heap)
+        if k not in rem:
+            continue
+        e, c = key(k), rem.pop(k)
+        i = M.first_divisor(lms, e)
+        if i is None:
             out.append((e, c))
-            rem = rem[1:]
             continue
         if counter is not None:
             counter.tick()
-        qe = polys.exp_div(e, hit[0][0])
-        qc = F.exact_div(c, hit[0][1])
-        rem = polys.m_sub(F, rem, polys.m_term_mul(F, qe, qc, hit), key)
+        g = basis[i]
+        q = F.neg(F.exact_div(c, g[0][1]))
+        for m, a in polys.m_term_mul(F, M, M.div(e, lms[i]), q, g[1:]):
+            k = key(m)
+            if k not in rem:
+                rem[k] = a
+                heapq.heappush(heap, -k)
+            else:
+                a = F.add(rem[k], a)
+                if F.is_zero(a):
+                    del rem[k]
+                else:
+                    rem[k] = a
     return tuple(out)
 
 
 def s_polynomial(ring, f, g):
-    F, key = ring.F, ring.key
+    F, M = ring.F, ring.mono
     ef, cf = f[0]
     eg, cg = g[0]
-    lcm = polys.exp_lcm(ef, eg)
-    tf = polys.m_term_mul(F, polys.exp_div(lcm, ef), F.inv_unit(cf), f)
-    tg = polys.m_term_mul(F, polys.exp_div(lcm, eg), F.inv_unit(cg), g)
-    return polys.m_sub(F, tf, tg, key)
+    lcm = M.lcm(ef, eg)
+    tf = polys.m_term_mul(F, M, M.div(lcm, ef), F.inv_unit(cf), f)
+    tg = polys.m_term_mul(F, M, M.div(lcm, eg), F.inv_unit(cg), g)
+    return polys.m_sub(F, tf, tg, M)
 
 
 def buchberger(ring, gens, counter=None):
@@ -69,7 +88,7 @@ def buchberger(ring, gens, counter=None):
     S-polynomials are reduced by every element found so far.
     """
     _require_multi(ring)
-    F, key = ring.F, ring.key
+    F, M = ring.F, ring.mono
     if counter is None:
         counter = StepCounter("buchberger")
     gens = [polys.m_monic(F, g) for g in gens if g]
@@ -79,7 +98,7 @@ def buchberger(ring, gens, counter=None):
     G = []  # every element found, in order; S-polynomials reduce by all of it
     sugars = []
     active = []  # indices whose leading monomial no later element divides
-    pending = []  # heap of (sugar, key(lcm), i, j, lcm)
+    pending = []  # heap of (sugar, M.key(lcm), i, j, lcm)
 
     def update(h, sugar):
         new, lm = len(G), h[0][0]
@@ -92,37 +111,40 @@ def buchberger(ring, gens, counter=None):
         # leading monomials make the S-polynomial reduce to zero.
         cands = []
         for k in active:
-            lcm = polys.exp_lcm(G[k][0][0], lm)
-            coprime = lcm == polys.exp_mul(G[k][0][0], lm)
-            cands.append((polys.exp_deg(lcm), not coprime, k, lcm))
+            lk = G[k][0][0]
+            lcm = M.lcm(lk, lm)
+            deg = M.deg(lcm)
+            coprime = deg == M.deg(lk) + M.deg(lm)
+            cands.append((deg, not coprime, k, lcm))
         cands.sort()
-        kept = []
+        kept, kept_lcms = [], []
         for _, not_coprime, k, lcm in cands:
-            if not any(polys.exp_divides(other, lcm) for other, _, _ in kept):
+            if M.first_divisor(kept_lcms, lcm) is None:
                 kept.append((lcm, not_coprime, k))
+                kept_lcms.append(lcm)
         # criterion B: lm(h) divides lcm(i, j) and neither lcm(i, h) nor
         # lcm(j, h) equals it, so the pairs (i, h) and (j, h) cover (i, j)
         pending[:] = [
             p
             for p in pending
-            if not polys.exp_divides(lm, p[4])
-            or polys.exp_lcm(G[p[2]][0][0], lm) == p[4]
-            or polys.exp_lcm(G[p[3]][0][0], lm) == p[4]
+            if not M.divides(lm, p[4])
+            or M.lcm(G[p[2]][0][0], lm) == p[4]
+            or M.lcm(G[p[3]][0][0], lm) == p[4]
         ]
         for lcm, not_coprime, k in kept:
             if not_coprime:
-                deg = polys.exp_deg(lcm)
+                deg = M.deg(lcm)
                 s = max(
-                    sugars[k] + deg - polys.exp_deg(G[k][0][0]),
-                    sugar + deg - polys.exp_deg(lm),
+                    sugars[k] + deg - M.deg(G[k][0][0]),
+                    sugar + deg - M.deg(lm),
                 )
-                pending.append((s, key(lcm), k, new, lcm))
+                pending.append((s, M.key(lcm), k, new, lcm))
         heapq.heapify(pending)
-        active[:] = [k for k in active if not polys.exp_divides(lm, G[k][0][0])]
+        active[:] = [k for k in active if not M.divides(lm, G[k][0][0])]
         active.append(new)
 
     for g in gens:
-        update(g, polys.m_total_deg(g))
+        update(g, polys.m_total_deg(g, M))
     while pending:
         counter.tick()
         sugar, _, i, j, _ = heapq.heappop(pending)
@@ -136,20 +158,21 @@ def buchberger(ring, gens, counter=None):
 def reduce_basis(ring, G, counter=None):
     """Minimalize and inter-reduce; canonical output order is descending
     leading monomial."""
-    F, key = ring.F, ring.key
-    G = sorted((g for g in G if g), key=lambda g: key(g[0][0]))
+    F, M = ring.F, ring.mono
+    G = sorted((g for g in G if g), key=lambda g: M.key(g[0][0]))
     # minimal: a monomial order never puts a monomial below one of its
     # divisors, so each leading monomial only needs testing against the
     # survivors before it; on equal leading monomials the earliest stays
-    minimal = []
+    minimal, lms = [], []
     for g in G:
-        if not any(polys.exp_divides(h[0][0], g[0][0]) for h in minimal):
+        if M.first_divisor(lms, g[0][0]) is None:
             minimal.append(g)
+            lms.append(g[0][0])
     reduced = []
     for idx, g in enumerate(minimal):
         others = [h for k, h in enumerate(minimal) if k != idx]
         r = normal_form(ring, g, others, counter)
         if r:
             reduced.append(polys.m_monic(F, r))
-    reduced.sort(key=lambda g: key(g[0][0]), reverse=True)
+    reduced.sort(key=lambda g: M.key(g[0][0]), reverse=True)
     return tuple(reduced)

@@ -179,10 +179,9 @@ class Ideal:
         ring = self.ring
         try:
             ext = _rabinowitsch_ring(ring)
-            embedded = [_embed_last(g) for g in self._normal]
-            t = polys.m_var(ext.F, ext.nvars, ext.nvars - 1)
-            one = polys.m_const(ext.F, ext.nvars, ext.F.one())
-            trick = polys.m_sub(ext.F, one, polys.m_mul(ext.F, t, _embed_last(f), ext.key), ext.key)
+            embedded = [polys.m_extend(g, ring.mono, ext.mono) for g in self._normal]
+            t = ext.var_elem(ext.nvars - 1).payload
+            trick = ext.sub(ext.one(), ext.mul(t, polys.m_extend(f, ring.mono, ext.mono)))
             gb = buchberger(ext, embedded + [trick])
             return len(gb) == 1 and ext.is_unit(gb[0])
         except StepBudgetExceededError:
@@ -219,7 +218,3 @@ def _rabinowitsch_ring(ring):
             return MultiPolyRing(ring.F, ring.vars + (cand,), ring.order)
     raise TierError("could not pick a fresh Rabinowitsch variable")
 
-
-def _embed_last(payload):
-    """Reinterpret a payload in the ring extended by one trailing variable."""
-    return tuple((exp + (0,), c) for exp, c in payload)

@@ -76,8 +76,9 @@ class Ring:
         while k:
             if k & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             k >>= 1
+            if k:  # square only for a bit still to come
+                base = self.mul(base, base)
         return result
 
     def is_zero(self, a):
@@ -559,12 +560,10 @@ class MultiPolyRing(Ring):
             raise ValueError("MultiPoly needs at least two variables")
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
-        if order not in polys.ORDER_KEYS:
-            raise ValueError(f"unknown monomial order {order!r}")
+        self.mono = polys.Monomials(len(variables), order)
         self.F = coeff_field
         self.vars = variables
         self.order = order
-        self.key = polys.ORDER_KEYS[order]
 
     def signature(self):
         return ("polym", self.F.signature(), self.vars, self.order)
@@ -580,57 +579,57 @@ class MultiPolyRing(Ring):
         return ()
 
     def from_int(self, k):
-        return polys.m_const(self.F, self.nvars, self.F.from_int(k))
+        return polys.m_const(self.F, self.F.from_int(k))
 
     def var_elem(self, i):
-        return RingElem(self, polys.m_var(self.F, self.nvars, i))
+        exps = [0] * self.nvars
+        exps[i] = 1
+        return RingElem(self, ((self.mono.pack(exps), self.F.one()),))
 
     def add(self, a, b):
-        return polys.m_add(self.F, a, b, self.key)
+        return polys.m_add(self.F, a, b, self.mono)
 
     def neg(self, a):
         return polys.m_neg(self.F, a)
 
     def mul(self, a, b):
-        return polys.m_mul(self.F, a, b, self.key)
+        return polys.m_mul(self.F, a, b, self.mono)
 
     def is_unit(self, a):
-        return len(a) == 1 and polys.exp_deg(a[0][0]) == 0
+        return len(a) == 1 and self.mono.deg(a[0][0]) == 0
 
     def inv_unit(self, a):
         if not self.is_unit(a):
             raise NotDivisibleError(f"{self.render(a)} is not a unit in {self.describe()}")
-        return polys.m_const(self.F, self.nvars, self.F.inv_unit(a[0][1]))
+        return polys.m_const(self.F, self.F.inv_unit(a[0][1]))
 
     def exact_div(self, a, b):
         if not b:
             raise NotDivisibleError("division by zero")
-        F, key = self.F, self.key
+        F, M = self.F, self.mono
         rem = a
         quo = ()
         lt_b = polys.m_lt(b)
         while rem:
             lt_r = polys.m_lt(rem)
-            if not polys.exp_divides(lt_b[0], lt_r[0]):
+            if not M.divides(lt_b[0], lt_r[0]):
                 raise NotDivisibleError(
                     f"{self.render(b)} does not divide {self.render(a)} in {self.describe()}"
                 )
-            e = polys.exp_div(lt_r[0], lt_b[0])
-            c = F.exact_div(lt_r[1], lt_b[1])
-            t = ((e, c),)
-            quo = polys.m_add(F, quo, t, key)
-            rem = polys.m_sub(F, rem, polys.m_mul(F, t, b, key), key)
+            t = ((M.div(lt_r[0], lt_b[0]), F.exact_div(lt_r[1], lt_b[1])),)
+            quo = polys.m_add(F, quo, t, M)
+            rem = polys.m_sub(F, rem, polys.m_mul(F, t, b, M), M)
         return quo
 
     def render(self, a):
-        return render_multi(self.F, a, self.vars)
+        return render_multi(self.F, [(self.mono.unpack(m), c) for m, c in a], self.vars)
 
     def random_element(self, rng):
         terms = []
         for _ in range(rng.randint(0, 2)):
-            exp = tuple(rng.randint(0, 2) for _ in range(self.nvars))
-            terms.append((exp, self.F.random_element(rng)))
-        return polys.m_canon(self.F, terms, self.key)
+            exps = [rng.randint(0, 2) for _ in range(self.nvars)]
+            terms.append((self.mono.pack(exps), self.F.random_element(rng)))
+        return polys.m_canon(self.F, terms, self.mono)
 
 
 # ------------------------------------------------------------- rendering

@@ -225,8 +225,8 @@ def test_criterion_7_snf_kernel():
             assert all(a == 0 for a in diag[len(chain):])  # zeros trail
 
 
-def _to_oracle(payload):
-    return {exp: Fraction(c) for exp, c in payload}
+def _to_oracle(ring, payload):
+    return {ring.mono.unpack(m): Fraction(c) for m, c in payload}
 
 
 def _random_qxy_poly(ring, rng, deg=3, terms=4):
@@ -256,14 +256,14 @@ def test_criterion_8_groebner_kernel():
                 for j in range(i + 1, len(basis)):
                     s = s_polynomial(R, basis[i], basis[j])
                     assert not normal_form(R, s, basis)
-            oracle_gens = [_to_oracle(g) for g in gens]
+            oracle_gens = [_to_oracle(R, g) for g in gens]
             # one constructed member and one arbitrary query per ideal
             h = _random_qxy_poly(R, rng, deg=2, terms=2)
             member = R.add(R.mul(h, gens[0]), gens[-1])
             q = _random_qxy_poly(R, rng)
             for f, built in ((member, True), (q, False)):
                 engine = I.member(RingElem(R, f))
-                oracle = linear_membership(_to_oracle(f), oracle_gens, 2, 6)
+                oracle = linear_membership(_to_oracle(R, f), oracle_gens, 2, 6)
                 if built:
                     assert engine and oracle
                 if oracle:

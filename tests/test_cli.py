@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from thickgen.cli import main, run_script
 from thickgen.complexes import koszul
 from thickgen.dsl import parse_script, render_complex, run_command
-from thickgen.errors import ParseError
+from thickgen.errors import ExponentLimitError, ParseError
+from thickgen.polys import EXP_LIMIT
 from thickgen.ideals import Ideal
 from thickgen.rings import ZZ, Zmod
 
@@ -118,6 +119,61 @@ def test_number_too_long_to_render_is_an_engine_error():
     assert code == 2
     assert text == ""
     assert err.getvalue() == "error: cannot render a number of 100001 bits\n"
+
+
+EXPONENT_SCRIPT = "ring P = poly Q [x,y]\nideal I over P = (x^{e}, y)\nobstruct P I --max 2\n"
+
+
+def test_exponent_past_the_limit_in_a_literal_is_a_parse_error():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run(EXPONENT_SCRIPT.format(e=EXP_LIMIT + 1), machine=True)
+    assert code == 1
+    assert text == ""
+    assert err.getvalue() == (
+        f"parse error: line 2, col 18: a monomial exponent exceeds the limit {EXP_LIMIT}\n"
+    )
+
+
+def test_exponent_past_the_limit_in_an_ideal_power_is_an_engine_error():
+    # x^(2^62) parses; its square in I^2 does not fit
+    script = EXPONENT_SCRIPT.format(e=1 << 62)
+    session = parse_script(script)
+    with pytest.raises(ExponentLimitError):
+        run_command(session, session.commands[0])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run(script, machine=True)
+    assert code == 2
+    assert text == ""
+    assert err.getvalue() == f"error: a monomial exponent exceeds the limit {EXP_LIMIT}\n"
+
+
+def test_exponent_past_32_bits_keeps_its_output():
+    code, text = run(EXPONENT_SCRIPT.format(e=1 << 32), machine=True)
+    assert code == 0
+    assert text == (
+        "command: obstruct\n"
+        "ring: Q[x,y] (grevlex)\n"
+        "ideal: (x^4294967296, y)\n"
+        "max: 2\n"
+        "connected: yes\n"
+        "stabilizes: no\n"
+        "\n"
+        "n: 2\n"
+        "kind: lower-bound\n"
+        "level: 2\n"
+        "cones: 1\n"
+        "generator-ann: (x^4294967296, y)\n"
+        "target-ann: (x^8589934592, x^4294967296*y, y^2)\n"
+        "generator: x^4294967296\n"
+        "note: generator-ann I kills H*(K(I)) and H^0(K(I^n)) = R/I^n, so target-ann I^n "
+        "contains ann H*(K(I^n)); this holds for any list of generators\n"
+        "\n"
+        "verdict: not-strongly-generated\n"
+        "note: levels against a fixed Koszul generator grow without bound, so no single "
+        "perfect complex strongly generates the category\n"
+    )
 
 
 @pytest.mark.parametrize(

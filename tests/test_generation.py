@@ -381,7 +381,7 @@ def test_obstruction_ladder_over_qxyz_is_fast():
     assert rep.verdict == "not-strongly-generated"
     assert [c.level for c in rep.certificates] == [2, 3, 4, 5, 6]
     for cert in rep.certificates:
-        assert min(sum(exp) for exp, _ in cert.witness.payload) == cert.level - 1
+        assert min(sum(R.mono.unpack(m)) for m, _ in cert.witness.payload) == cert.level - 1
     assert elapsed < 10.0
 
 
