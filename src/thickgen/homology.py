@@ -16,14 +16,22 @@ factors (snf.invariant_factors, a Smith form without transforms) are
 all the reading needs, and homology_all computes them once per
 differential for every degree.
 
-Over D/(mu) with mu nonzero (Z/m, k[t]/(f)) the reading goes through
-the kernel lattice L = {v : d^n v in mu*D^m} of the lifted matrices,
-whose Hermite basis K is one column Hermite form of
-[[d^n, mu*I] ; [I, 0]] (snf.kernel_basis).  L contains mu*I.  The
-relations, the nonzero columns of [d^(n-1) | mu*I], are written in K
-coordinates (solve_exact, again a Hermite form), and one Smith form
-per degree gives the invariants: units vanish, factors associate to mu
-are free of rank one, and the rest are torsion.
+Over D/(mu) with mu nonzero (Z/m, k[t]/(f)) let A = lift(d^n) (m x r)
+and B = lift(d^(n-1)) (r x s).  A B = 0 mod mu, so C = A B / mu is
+exact in D, and
+
+    D^(s+r) --M--> D^(r+m) --[A | mu*I]--> D^m,   M = [[B, mu*I], [-C, -A]]
+
+is a complex over D with H^n(X) = ker[A | mu*I] / im M:
+  - projecting to the first r coordinates is injective on ker[A | mu*I],
+    since mu is nonzero in a domain;
+  - it maps ker[A | mu*I] onto L = {v : A v in mu*D^m}, which is ker d^n
+    lifted to D^r;
+  - it maps im M onto im B + mu*D^r, which is im d^(n-1) lifted;
+  - im M has finite index in ker[A | mu*I], a direct summand of
+    D^(r+m), so H^n is the sum of the D/(s_i) over the invariant
+    factors s_i of M.
+A factor associate to mu reads as a free summand of rank one.
 
 homology_all is computed once per complex object: the first call
 stores its dict in a slot of the FreeComplex, which never changes once
@@ -41,13 +49,12 @@ sqrt((g)).
 """
 
 from collections import namedtuple
-from itertools import chain
 
 from .errors import TierError
 from .ideals import Ideal, euclid_radical_member
 from .matrices import Matrix
 from .rings import RingElem
-from .snf import invariant_factors, kernel_basis, smith_normal_form, solve_exact
+from .snf import invariant_factors
 from .spectrum import prime_factors
 
 
@@ -92,27 +99,26 @@ class FPModule(namedtuple("FPModule", "ring free_rank factors")):
 def fp_direct_sum(a, b):
     """Invariant-factor form of a (+) b over ring = D/(mu): each factor
     f becomes the canonical generator gcd(f, mu) of its lifted ideal and
-    each free summand the modulus, and this diagonal over D is swept
-    pairwise into (gcd, lcm) until each entry divides the next, which is
-    its Smith form."""
+    each free summand the modulus, and the module is read from the
+    invariant factors of that diagonal over D."""
     if a.ring != b.ring:
         raise TierError("direct sum of modules over different rings")
     ring = a.ring
     cover = ring.cover_ring
     diag = [cover.gcd(ring.lift(f), ring.modulus) for f in a.factors + b.factors]
     diag += [ring.modulus] * (a.free_rank + b.free_rank)
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            diag[i], diag[j] = cover.gcd(diag[i], diag[j]), cover.lcm(diag[i], diag[j])
-    return _read_invariants(ring, len(diag), diag)
+    k = len(diag)
+    D = Matrix.build(cover, k, k, lambda i, j: diag[i] if i == j else cover.zero())
+    return _read_invariants(ring, k, invariant_factors(D))
 
 
 def _read_invariants(ring, k, diagonal):
     """FPModule over ring = D/(mu) presented by k generators over D,
     with `diagonal` the Smith form diagonal of the relations (canonical
-    associates, as is the modulus): unit entries vanish, entries associate to mu (zero included when
-    mu = 0) and the k - len(diagonal) unrelated generators are free of
-    rank one, the rest are torsion."""
+    associates, as is the modulus): unit entries vanish, entries
+    associate to mu (zero included when mu = 0) and the
+    k - len(diagonal) unrelated generators are free of rank one, the
+    rest are torsion."""
     cover = ring.cover_ring
     free = k - len(diagonal)
     factors = []
@@ -171,18 +177,18 @@ def _free_homology(X, n, factors):
 
 
 def _quotient_homology(X, n):
-    """H^n over D/(mu), mu nonzero, from the kernel lattice of the
-    lifted d^n and the relations of [d^(n-1) | mu*I] in its basis."""
+    """H^n over D/(mu), mu nonzero, from the invariant factors of
+    M = [[B, mu*I], [-C, -A]] with A, B the lifted d^n, d^(n-1) and
+    C = A B / mu (see the module docstring)."""
     ring = X.ring
     cover, mu = ring.cover_ring, ring.modulus
-    K = kernel_basis(X.diff(n).map_entries(ring.lift, cover), mu)
-    d = X.diff(n - 1).map_entries(ring.lift, cover)
-    # the nonzero columns of [d | mu*I]; mu*I is symmetric, so its rows serve
-    rels = [c for c in chain(zip(*d.rows), Matrix.scalar(cover, mu, d.nrows).rows) if any(c)]
-    if not K.ncols or not rels:
-        return FPModule(ring, K.ncols, ())
-    snf = smith_normal_form(solve_exact(K, Matrix(cover, zip(*rels), d.nrows, len(rels))))
-    return _read_invariants(ring, K.ncols, snf.diagonal)
+    A = X.diff(n).map_entries(ring.lift, cover)
+    B = X.diff(n - 1).map_entries(ring.lift, cover)
+    C = (A @ B).map_entries(lambda x: cover.exact_div(x, mu))
+    (m, r), s = A.shape(), B.ncols
+    muI = Matrix.scalar(cover, mu, r)
+    M = Matrix.from_blocks(cover, r + m, s + r, [(0, 0, B), (0, s, muI), (r, 0, -C), (r, s, -A)])
+    return _read_invariants(ring, r, invariant_factors(M))
 
 
 def ann_total_homology(X):

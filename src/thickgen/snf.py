@@ -34,14 +34,12 @@ this can happen only finitely often.  Every pass is reduced, which in
 practice keeps the entries of U and V near the size of A's minors.
 
 hermite_basis(A) is the canonical column-echelon basis of A's column
-lattice.  kernel_basis(A, mu) and solve_exact(A, B) both read one
-Hermite form, of [[A, mu*I] ; [I, 0]], with no Smith form: the kernel
-lattice {v : A v in mu*D^m} is its block of columns whose pivots lie
-below A's rows, and a solution comes from dividing by the pivots of the
-others.  mu = 0 (the default) gives ker(A), since _hermite_columns drops
-the zero columns mu*e_i.  Everything here stays inside a Euclidean
-domain; a quotient ring D/(mu) is handled upstream by lifting to D and
-passing mu.
+lattice.  kernel_basis(A) and solve_exact(A, B) both read one Hermite
+form, of [[A] ; [I]], with no Smith form: ker(A) is its block of
+columns whose pivots lie below A's rows, and a solution comes from
+dividing by the pivots of the others.  Everything here stays inside a
+Euclidean domain; a quotient ring D/(mu) is handled upstream by
+lifting to D.
 """
 
 from collections import namedtuple
@@ -222,11 +220,10 @@ def _hermite_columns(R, nrows, cols):
     return fixed, pivot_rows
 
 
-def _stacked_hermite(A, modulus=0):
-    """(columns, pivot rows) of the Hermite form [H ; T] of
-    [[A, modulus*I] ; [I, 0]].  Column operations keep the lattice, so
-    A @ T = H mod modulus; for modulus 0 the columns modulus*e_i are
-    zero and dropped, T is unimodular and A @ T = H."""
+def _stacked_hermite(A):
+    """(columns, pivot rows) of the Hermite form [H ; T] of [[A] ; [I]]:
+    column operations keep the lattice, so T is unimodular and
+    A @ T = H."""
     R = A.ring
     _require_euclidean(R)
     m, n = A.nrows, A.ncols
@@ -235,22 +232,17 @@ def _stacked_hermite(A, modulus=0):
         unit = [R.zero()] * n
         unit[j] = R.one()
         cols.append([A.entry(i, j) for i in range(m)] + unit)
-    for i in range(m):
-        col = [R.zero()] * (m + n)
-        col[i] = modulus
-        cols.append(col)
     return _hermite_columns(R, m + n, cols)
 
 
-def kernel_basis(A, modulus=0):
-    """Hermite basis of the lattice {v : A v in modulus*D^m}; for the
-    default modulus 0 that is ker(A), a free direct summand.
+def kernel_basis(A):
+    """Hermite basis of ker(A), a free direct summand.
 
     The columns of [H ; T] whose pivots lie below A's rows have H = 0,
-    so their T blocks generate the lattice, and they are already the
+    so their T blocks generate the kernel, and they are already the
     canonical Hermite basis of it."""
     m = A.nrows
-    fixed, pivot_rows = _stacked_hermite(A, modulus)
+    fixed, pivot_rows = _stacked_hermite(A)
     return _from_columns(A.ring, A.ncols, [c[m:] for c, p in zip(fixed, pivot_rows) if p >= m])
 
 

@@ -127,3 +127,31 @@ def random_chain_map(ring, rng, max_rank=4, degree_span=4):
         null = Y.diff(n - 1) @ h_at(n) + h_at(n + 1) @ X.diff(n)
         comps[n] = tY[n][0] @ plain @ tX[n][1] + null
     return ChainMap(X, Y, comps)
+
+
+def random_unlifted_complex(ring, rng, max_rank=3, tries=200):
+    """Random three-term complex R^s -> R^r -> R^m over R = D/(mu), mu
+    nonzero, whose lifted differentials do not compose to zero over D.
+
+    With g a divisor of mu taken from a random element, the
+    differentials are g*U and (mu/g)*V for random U and V, conjugated
+    by random elementary transformations; draws whose lifted d after d
+    vanishes over D are discarded."""
+    cover, mu = ring.cover_ring, ring.modulus
+    if not mu:
+        raise TierError("unlifted complexes need a quotient ring D/(mu)")
+    for _ in range(tries):
+        g = cover.gcd(ring.lift(ring.random_element(rng)), mu)
+        factors = (ring.project(g), ring.project(cover.exact_div(mu, g)))
+        s, r, m = (rng.randint(1, max_rank) for _ in range(3))
+        d0, d1 = (
+            Matrix.build(ring, rows, cols, lambda i, j: ring.mul(c, ring.random_element(rng)))
+            for c, rows, cols in zip(factors, (r, m), (s, r))
+        )
+        lo = rng.randint(-2, 0)
+        plain = FreeComplex(ring, {lo: s, lo + 1: r, lo + 2: m}, {lo: d0, lo + 1: d1})
+        X = _conjugate(plain, _random_transforms(ring, rng, plain))
+        lifted = [X.diff(n).map_entries(ring.lift, cover) for n in (lo, lo + 1)]
+        if not (lifted[1] @ lifted[0]).is_zero():
+            return X
+    raise ValueError(f"no complex over {ring.describe()} failed to lift in {tries} draws")

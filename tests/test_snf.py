@@ -298,15 +298,11 @@ def test_kernel_basis_entries_stay_small():
         assert all(abs(int(e)) < 10**9 for r in K.to_lists() for e in r)
 
 
-def _two_step_lattice(A, mu):
-    """{v : A v in mu*D^m} the long way: the kernel of [A | mu*I], its
-    first A.ncols rows, and a second Hermite pass over them."""
-    R, n = A.ring, A.ncols
-    muI = Matrix.scalar(R, mu, A.nrows)
-    wide = kernel_basis(
-        Matrix(R, [a + m for a, m in zip(A.rows, muI.rows)], A.nrows, n + A.nrows)
-    )
-    return hermite_basis(Matrix(R, wide.rows[:n], n, wide.ncols))
+def _product(R, items):
+    out = R.one()
+    for x in items:
+        out = R.mul(out, x)
+    return out
 
 
 def _poly(R, *coeffs):
@@ -328,12 +324,19 @@ F5x, Qt = poly_ring(GF(5), ["x"]), poly_ring(QQ, ["t"])
     ],
 )
 def test_kernel_lattice_is_one_stacked_hermite_form(R, mu):
-    # the Hermite basis read from [[A, mu*I] ; [I, 0]] is the same
-    # matrix as the two-step construction, not just the same lattice
+    # the lattice L = {v : A v in mu*D^m} is the first n rows K of a
+    # basis of ker[A | mu*I]: they keep rank n, lie in L, and
+    # D^n / L embeds in (D/mu)^m with cokernel D^m / (im A + mu*D^m), so
+    # the invariant factors of K and of [A | mu*I] multiply to mu^m
+    # exactly when K spans all of L
     rng = random.Random(zlib.crc32(f"{R.describe()} {mu}".encode()))
     for _ in range(100):
         m, n = rng.randint(0, 4), rng.randint(0, 4)
         A = Matrix.build(R, m, n, lambda i, j: R.random_element(rng))
-        K = kernel_basis(A, mu)
-        assert K == _two_step_lattice(A, mu)
-        assert K.ncols == n
+        wide = Matrix.from_blocks(R, m, n + m, [(0, 0, A), (0, n, Matrix.scalar(R, mu, m))])
+        basis = kernel_basis(wide)
+        K = Matrix(R, basis.rows[:n], n, basis.ncols)
+        assert basis.ncols == n and len(invariant_factors(K)) == n
+        assert all(not R.euclid_divmod(x, mu)[1] for row in (A @ K).rows for x in row)
+        index = _product(R, invariant_factors(K) + invariant_factors(wide))
+        assert index == _product(R, [mu] * m)
