@@ -7,6 +7,10 @@ so a front end can distinguish the two.  One table, `COMMANDS`, states
 the command set: each command's argument grammar, which the parser
 reads, and its runner.  Renderers emit the same grammar the parser
 accepts, and re-parsing a rendered complex yields an equal complex.
+
+tokenize makes one regex match per token and ends the list with an eof
+token, so the parser's current token is always toks[pos].  One function,
+parse_factor, reads unary minus, "^" and atoms (-2^2 is -(2^2)).
 """
 
 import re
@@ -28,13 +32,17 @@ from .matrices import Matrix
 from .rings import GF, QQ, ZZ, RingElem, UniQuotRing, Zmod, poly_ring
 from .spectrum import idempotents, nilpotence_lemma_check, spec_description
 
+# a token with the whitespace and comment before it; "bad" is any
+# character that starts no token
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<nl>\n)
-      | (?P<int>\d+)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>->|\.\.|[-+*/^()\[\]{};,=:])
+    r"""[ \t\r]* (?:\#[^\n]*)?
+      (?: (?P<nl>\n)
+        | (?P<int>\d+)
+        | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<op>->|\.\.|[-+*/^()\[\]{};,=:])
+        | (?P<eof>\Z)
+        | (?P<bad>.)
+      )
     """,
     re.VERBOSE,
 )
@@ -45,24 +53,19 @@ Token = namedtuple("Token", "kind text line col")
 
 def tokenize(text):
     out = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok = m.group()
+        start, end = m.span(kind)
         if kind == "nl":
             line += 1
-            col = 1
+            line_start = end
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text[start]!r}", line, start - line_start + 1)
         else:
-            if kind not in ("ws", "comment"):
-                out.append(Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    out.append(Token("eof", "", line, col))
-    return out
+            out.append(Token(kind, text[start:end], line, start - line_start + 1))
+            if kind == "eof":
+                return out
 
 
 # --------------------------------------------------------------- sessions
@@ -92,15 +95,16 @@ class Session:
 
 
 class _Parser:
+    # next() never moves past the final eof token, so toks[pos] exists
     def __init__(self, tokens):
         self.toks = tokens
         self.pos = 0
 
-    def peek(self, ahead=0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self):
+        return self.toks[self.pos]
 
     def next(self):
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
@@ -112,10 +116,10 @@ class _Parser:
     # token texts never overlap across kinds, so the text alone tells an
     # op from a name
     def at(self, *texts):
-        return self.peek().text in texts
+        return self.toks[self.pos].text in texts
 
     def accept(self, text):
-        if self.at(text):
+        if self.toks[self.pos].text == text:
             self.next()
             return True
         return False
@@ -173,11 +177,10 @@ class _Parser:
     def command_word(self):
         tok = self.expect_name("statement keyword")
         word = tok.text
-        while (
-            self.at("-")
-            and self.peek(1).kind == "name"
-            and f"{word}-{self.peek(1).text}" in COMMANDS
-        ):
+        while self.at("-"):
+            after = self.toks[min(self.pos + 1, len(self.toks) - 1)]
+            if after.kind != "name" or f"{word}-{after.text}" not in COMMANDS:
+                break
             self.next()
             word = f"{word}-{self.next().text}"
         return word, tok
@@ -192,20 +195,27 @@ class _Parser:
         return node
 
     def parse_term(self):
-        node = self.parse_unary()
+        node = self.parse_factor()
         while self.at("*", "/"):
             op = self.next().text
-            node = ("bin", op, node, self.parse_unary())
+            node = ("bin", op, node, self.parse_factor())
         return node
 
-    def parse_unary(self):
-        if self.at("-"):
-            tok = self.next()
-            return ("neg", self.parse_unary(), tok)
-        return self.parse_power()
-
-    def parse_power(self):
-        node = self.parse_atom()
+    def parse_factor(self):
+        """factor := "-" factor | atom ["^" int], atom := int | name |
+        "(" expr ")"; so -2^2 is -(2^2)."""
+        tok = self.next()
+        if tok.text == "-":
+            return ("neg", self.parse_factor(), tok)
+        if tok.kind == "int":
+            node = ("int", self.int_value(tok), tok)
+        elif tok.kind == "name":
+            node = ("var", tok.text, tok)
+        elif tok.text == "(":
+            node = self.parse_expr()
+            self.expect_op(")")
+        else:
+            self.fail(f"expected element expression, found {tok.text!r}", tok)
         if self.accept("^"):
             tok = self.peek()
             n = self.expect_int()
@@ -213,18 +223,6 @@ class _Parser:
                 self.fail("negative exponent", tok)
             node = ("pow", node, n)
         return node
-
-    def parse_atom(self):
-        tok = self.next()
-        if tok.kind == "int":
-            return ("int", self.int_value(tok), tok)
-        if tok.kind == "name":
-            return ("var", tok.text, tok)
-        if tok.text == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        self.fail(f"expected element expression, found {tok.text!r}", tok)
 
     # literals -------------------------------------------------------------
 
@@ -299,7 +297,8 @@ class _Parser:
         self.expect_op("[")
         row = []
         if not self.at("]"):
-            row = self.comma_list(lambda: eval_expr(self.parse_expr(), ring))
+            env = _var_env(ring)
+            row = self.comma_list(lambda: _eval(self.parse_expr(), ring, env))
         self.expect_op("]")
         return row
 

@@ -3,7 +3,8 @@
 Every ring kind works on plain hashable payloads (int, Fraction, coeff
 tuples, term tuples); RingElem is a thin typed wrapper used at API
 boundaries.  Internal kernels (matrices, normal forms) call the payload
-methods directly.
+methods directly; Z and Q bind add, neg and mul to the builtin
+operators, and Z binds euclid_norm to abs.
 
 Tier 1 kinds: Z, Zmod m, Fp, Q, univariate poly over a field, and its
 monic quotients.  Tier 2: multivariate poly over a field (ideal
@@ -17,6 +18,7 @@ from gcds with mu and one extended Euclid, EuclideanRing.inverse_mod;
 only add, neg and mul are written per kind.
 """
 
+import operator
 from fractions import Fraction
 
 from . import polys
@@ -280,14 +282,9 @@ class IntegerRing(EuclideanRing):
     def from_int(self, k):
         return k
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
 
     def is_unit(self, a):
         return a in (1, -1)
@@ -305,17 +302,14 @@ class IntegerRing(EuclideanRing):
             raise NotDivisibleError(f"{b} does not divide {a} in Z")
         return q
 
-    def euclid_norm(self, a):
-        return abs(a)
+    euclid_norm = staticmethod(abs)
 
     def euclid_divmod(self, a, b):
-        # balanced remainder keeps SNF pivot growth down
+        # balanced remainder keeps SNF pivot growth down; divmod's r has
+        # b's sign, which a tie keeps
         q, r = divmod(a, b)
         if 2 * abs(r) > abs(b):
-            if (r > 0) == (b > 0):
-                q, r = q + 1, r - b
-            else:
-                q, r = q - 1, r + b
+            return q + 1, r - b
         return q, r
 
     def residue(self, a, m):
@@ -347,14 +341,9 @@ class RationalRing(FieldRing):
     def from_int(self, k):
         return Fraction(k)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
 
     def inv_unit(self, a):
         if a == 0:

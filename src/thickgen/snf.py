@@ -3,7 +3,9 @@
 All elimination runs in one kernel, _hermite_columns: the reduced
 column Hermite form of a list of vectors, under the "hermite" step
 budget.  A payload is zero exactly when it is falsy (Ring.is_zero), so
-the kernel tests entries by truth value and skips zero entries.
+the kernel tests entries by truth value and skips zero entries: a row
+update (_axpy) runs over the support list of its source column, built
+once per cascade step, back-reduction source and image column.
 
 smith_normal_form(A) returns unimodular U, V and D with
 
@@ -128,7 +130,7 @@ def _is_canonical_diagonal(R, M):
     """M is diagonal, and each diagonal entry is zero or canonical."""
     for i, row in enumerate(M):
         for j, x in enumerate(row):
-            if not R.is_zero(x) and (i != j or not R.is_one(R.canonical_associate(x)[1])):
+            if x and (i != j or not R.is_one(R.canonical_associate(x)[1])):
                 return False
     return True
 
@@ -166,14 +168,16 @@ def _from_columns(R, nrows, cols):
     return Matrix(R, [[c[i] for c in cols] for i in range(nrows)], nrows, len(cols))
 
 
-def _axpy(R, dst, src, q, start):
-    """dst -= q * src, entrywise and in place, skipping the zeros of
-    src; src is zero before start."""
+def _support(v, start):
+    """The indices of v's nonzero entries from start on."""
+    return [i for i in range(start, len(v)) if v[i]]
+
+
+def _axpy(R, dst, src, q, support):
+    """dst -= q * src in place; support holds src's nonzero indices."""
     add, mul, nq = R.add, R.mul, R.neg(q)
-    for i in range(start, len(dst)):
-        s = src[i]
-        if s:
-            dst[i] = add(dst[i], mul(nq, s))
+    for i in support:
+        dst[i] = add(dst[i], mul(nq, src[i]))
 
 
 def _hermite_columns(R, nrows, cols):
@@ -195,11 +199,12 @@ def _hermite_columns(R, nrows, cols):
             counter.tick()
             live.sort(key=lambda c: R.euclid_norm(c[row]))
             p = live[0]
+            p_support = _support(p, row)
             rest = []
             for c in live[1:]:
                 q, r = R.euclid_divmod(c[row], p[row])
                 if q:
-                    _axpy(R, c, p, q, row)
+                    _axpy(R, c, p, q, p_support)
                 if c[row]:
                     rest.append(c)
             live = [p] + rest
@@ -212,11 +217,12 @@ def _hermite_columns(R, nrows, cols):
         fixed.append(pivot)
         pivot_rows.append(row)
     # back-reduce: entries of earlier columns at later pivot rows
-    for k in range(len(fixed)):
-        for j in range(k):
-            q, _ = R.euclid_divmod(fixed[j][pivot_rows[k]], fixed[k][pivot_rows[k]])
+    for k, (src, row) in enumerate(zip(fixed, pivot_rows)):
+        support = _support(src, row)
+        for dst in fixed[:k]:
+            q, _ = R.euclid_divmod(dst[row], src[row])
             if q:
-                _axpy(R, fixed[j], fixed[k], q, pivot_rows[k])
+                _axpy(R, dst, src, q, support)
     return fixed, pivot_rows
 
 
@@ -260,18 +266,18 @@ def solve_exact(A, B):
     R = A.ring
     fixed, pivot_rows = _stacked_hermite(A)
     m = A.nrows
-    image = [(c, p) for c, p in zip(fixed, pivot_rows) if p < m]
+    image = [(c, p, _support(c, p)) for c, p in zip(fixed, pivot_rows) if p < m]
     xs = []
     for j in range(B.ncols):
         v = [B.entry(i, j) for i in range(m)] + [R.zero()] * A.ncols
-        for c, p in image:
+        for c, p, support in image:
             if not v[p]:
                 continue
             try:
                 q = R.exact_div(v[p], c[p])
             except NotDivisibleError:
                 raise NoSolutionError("system has no exact solution")
-            _axpy(R, v, c, q, p)
+            _axpy(R, v, c, q, support)
         if any(v[:m]):
             raise NoSolutionError("system has no exact solution")
         xs.append([R.neg(x) for x in v[m:]])

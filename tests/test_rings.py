@@ -188,6 +188,19 @@ def test_integer_division_is_balanced():
     assert q * 4 + r == -7 and abs(r) <= 2
 
 
+def test_balanced_remainder_over_a_grid():
+    # a = q*b + r with |r| <= |b|/2, and at a tie r takes b's sign
+    for a, b in itertools.product(range(-300, 301), range(-40, 41)):
+        if b == 0:
+            continue
+        q, r = ZZ.euclid_divmod(a, b)
+        assert type(q) is int and type(r) is int
+        assert a == q * b + r, (a, b)
+        assert 2 * abs(r) <= abs(b), (a, b)
+        if 2 * abs(r) == abs(b):
+            assert (r > 0) == (b > 0), (a, b)
+
+
 def test_rationals_are_fractions():
     assert QQ.exact_div(QQ.from_int(1), QQ.from_int(3)) == Fraction(1, 3)
     assert QQ.render(Fraction(-3, 2)) == "-3/2"

@@ -2,16 +2,23 @@
 of Koszul differentials: mostly zeros, a few nonzero entries per column.
 
 Products are compared with a dense triple loop that runs the ring's
-own add and mul over every entry, zeros included.
+own add and mul over every entry, zeros included.  The Hermite kernel
+is compared with a reference copy of it whose row update walks every
+index from the pivot row on and tests each entry of the source column.
 """
 
+import copy
 import random
 
 import pytest
 
+from thickgen import budget
+from thickgen.budget import StepCounter
+from thickgen.complexes import koszul
+from thickgen.ideals import Ideal
 from thickgen.matrices import Matrix
 from thickgen.rings import GF, QQ, ZZ, Zmod, poly_ring
-from thickgen.snf import kernel_basis, solve_exact
+from thickgen.snf import _hermite_columns, kernel_basis, solve_exact
 
 RINGS = {
     "Z": ZZ,
@@ -95,3 +102,102 @@ def test_kernel_and_solve_on_sparse_inputs(name, seed):
     Y = solve_exact(A, B)
     assert A @ Y == B
     assert_zeros_are_canonical(Y)
+
+
+def _dense_axpy(R, dst, src, q, start):
+    add, mul, nq = R.add, R.mul, R.neg(q)
+    for i in range(start, len(dst)):
+        s = src[i]
+        if s:
+            dst[i] = add(dst[i], mul(nq, s))
+
+
+def reference_hermite_columns(R, nrows, cols):
+    cols = [c for c in cols if any(c)]
+    counter = StepCounter("hermite")
+    fixed = []
+    pivot_rows = []
+    for row in range(nrows):
+        if not cols:
+            break
+        live = [c for c in cols if c[row]]
+        if not live:
+            continue
+        while len(live) > 1:
+            counter.tick()
+            live.sort(key=lambda c: R.euclid_norm(c[row]))
+            p = live[0]
+            rest = []
+            for c in live[1:]:
+                q, r = R.euclid_divmod(c[row], p[row])
+                if q:
+                    _dense_axpy(R, c, p, q, row)
+                if c[row]:
+                    rest.append(c)
+            live = [p] + rest
+        pivot = live[0]
+        _, u = R.canonical_associate(pivot[row])
+        if not R.is_one(u):
+            for i in range(len(pivot)):
+                pivot[i] = R.mul(u, pivot[i])
+        cols.remove(pivot)
+        fixed.append(pivot)
+        pivot_rows.append(row)
+    for k in range(len(fixed)):
+        for j in range(k):
+            q, _ = R.euclid_divmod(fixed[j][pivot_rows[k]], fixed[k][pivot_rows[k]])
+            if q:
+                _dense_axpy(R, fixed[j], fixed[k], q, pivot_rows[k])
+    return fixed, pivot_rows
+
+
+def _kernel_inputs(A):
+    """(nrows, columns) lists that the Smith and Hermite callers hand the
+    kernel: A's columns, the columns of [[A] ; [I]], and A's rows."""
+    R, m, n = A.ring, A.nrows, A.ncols
+    cols = [[A.entry(i, j) for i in range(m)] for j in range(n)]
+    stacked = [c + [R.one() if i == j else R.zero() for i in range(n)] for j, c in enumerate(cols)]
+    rows = [list(r) for r in A.rows]
+    return [(m, cols), (m + n, stacked), (n, rows)]
+
+
+@pytest.fixture
+def hermite_ticks(monkeypatch):
+    """A one-item list that counts the hermite ticks from here on."""
+    ticks = [0]
+    tick = budget.StepCounter.tick
+
+    def counted(counter, n=1):
+        if counter.label == "hermite":
+            ticks[0] += n
+        return tick(counter, n)
+
+    monkeypatch.setattr(budget.StepCounter, "tick", counted)
+    return ticks
+
+
+def _assert_kernel_matches_reference(A, ticks):
+    """Same columns, same pivot rows and the same hermite tick count."""
+    for nrows, cols in _kernel_inputs(A):
+        runs = []
+        for kernel in (reference_hermite_columns, _hermite_columns):
+            ticks[0] = 0
+            runs.append((kernel(A.ring, nrows, copy.deepcopy(cols)), ticks[0]))
+        assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("name", ["Z", "Q", "F5[x]"])
+@pytest.mark.parametrize("seed", range(8))
+def test_hermite_kernel_matches_the_dense_reference(name, seed, hermite_ticks):
+    R = RINGS[name]
+    rng = random.Random(300 + seed)
+    for _ in range(6):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        A = sparse(R, rng, m, n, density=rng.choice([0.2, 0.4]))
+        _assert_kernel_matches_reference(A, hermite_ticks)
+
+
+def test_hermite_kernel_matches_the_dense_reference_on_a_koszul_complex(hermite_ticks):
+    K = koszul(Ideal(ZZ, [6, 8, 4, 8, 16, 12, 18]))
+    for n in range(K.lo(), K.hi()):
+        _assert_kernel_matches_reference(K.diff(n), hermite_ticks)
