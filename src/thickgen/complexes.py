@@ -3,12 +3,13 @@
 Cohomological indexing throughout: the differential in degree n maps
 X^n to X^(n+1), so diffs[n] has shape rank(n+1) x rank(n).  A complex
 keeps its differentials and a chain map its components as blocks by
-degree, only those with both sides nonzero; `_blocks` checks each given
-block's ring and shape, and the structural checks (d after d = 0,
-commuting squares) follow at construction.  The differentials of
-direct sums and cones, and their canonical maps, are laid out by
-`Matrix.from_blocks` at offsets read from the ranks; the canonical maps
-place an identity block.
+degree, one for every degree with both sides nonzero and a zero block
+where none was given, so equality compares blocks directly; `_blocks`
+checks each given block's ring and shape, and the structural checks
+(d after d = 0, commuting squares) follow at construction.  The
+differentials of direct sums and cones, and their canonical maps, are
+laid out by `Matrix.from_blocks` at offsets read from the ranks; the
+canonical maps place an identity block.
 
 Sign conventions:
   - shift(X, k) reindexes by k and scales the differential by (-1)^k,
@@ -26,14 +27,12 @@ from .errors import ComplexFormatError, RingMismatchError
 from .matrices import Matrix
 
 
-def _blocks(ring, blocks, shape, what, label):
-    """The blocks of a complex or chain map with both sides nonzero,
-    sorted by degree; None entries are skipped, and every other block is
-    checked for its ring and for the shape(n) its degree needs."""
-    clean = {}
+def _blocks(ring, blocks, degrees, shape, what, label):
+    """The blocks of a complex or chain map, one for each of `degrees`
+    (ascending) whose shape(n) has both sides nonzero: the given block,
+    or a zero block where none was given.  Every given block is checked
+    for its ring and for the shape(n) its degree needs."""
     for n, M in blocks.items():
-        if M is None:
-            continue
         if M.ring != ring:
             raise RingMismatchError(f"{what} over the wrong ring")
         need = shape(n)
@@ -41,9 +40,12 @@ def _blocks(ring, blocks, shape, what, label):
             raise ComplexFormatError(
                 f"{label}({n}) has shape {M.shape()}, expected {need}", degree=n
             )
+    out = {}
+    for n in degrees:
+        need = shape(n)
         if need[0] and need[1]:
-            clean[n] = M
-    return dict(sorted(clean.items()))
+            out[n] = blocks[n] if n in blocks else Matrix.zero(ring, *need)
+    return out
 
 
 class FreeComplex:
@@ -58,15 +60,14 @@ class FreeComplex:
                 raise ComplexFormatError(f"negative rank in degree {n}", degree=n)
         self.ring = ring
         self.ranks = dict(sorted(ranks.items()))
-        clean = _blocks(
-            ring, diffs, lambda n: (self.rank(n + 1), self.rank(n)), "differential", "d"
+        self.diffs = _blocks(
+            ring,
+            diffs,
+            self.ranks,
+            lambda n: (self.rank(n + 1), self.rank(n)),
+            "differential",
+            "d",
         )
-        # materialize zero differentials wherever both ends are nonzero
-        self.diffs = {
-            n: clean[n] if n in clean else Matrix.zero(ring, self.rank(n + 1), r)
-            for n, r in self.ranks.items()
-            if self.rank(n + 1)
-        }
         for n, d in self.diffs.items():
             nxt = self.diffs.get(n + 1)
             if nxt is not None and not (nxt @ d).is_zero():
@@ -170,6 +171,7 @@ class ChainMap:
         self.comps = _blocks(
             src.ring,
             comps,
+            src.ranks,
             lambda n: (dst.rank(n), src.rank(n)),
             "chain map component",
             "component c",
@@ -196,13 +198,11 @@ class ChainMap:
             isinstance(other, ChainMap)
             and other.src == self.src
             and other.dst == self.dst
-            and {n: M for n, M in other.comps.items() if not M.is_zero()}
-            == {n: M for n, M in self.comps.items() if not M.is_zero()}
+            and other.comps == self.comps
         )
 
     def __hash__(self):
-        nz = tuple(sorted((n, M) for n, M in self.comps.items() if not M.is_zero()))
-        return hash((self.src, self.dst, nz))
+        return hash((self.src, self.dst, tuple(self.comps.items())))
 
     def __repr__(self):
         return f"ChainMap({self.src!r} -> {self.dst!r})"

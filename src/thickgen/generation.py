@@ -195,16 +195,17 @@ def level_lower_bound(X, G, cap=LEVEL_SEARCH_CAP):
         raise EngineError("generator complex has zero homology")
     if aX.is_unit_ideal():
         raise EngineError("target complex has zero homology")
-    for g in aG.normal_gens:
-        if not aX.radical_member(g):
-            return NotInThickCert(
-                missing_gen=g,
-                support_x=sX,
-                support_g=sG,
-                note="support of the target is not contained in the support "
-                "of the generator",
-            )
-    # past the radical check a power of the one generator of ann(H* G)
+    if not sG.contains(sX):
+        # over Tier 1 ann(H* G) has one normal generator, the lcm of the
+        # components, and V of it is the union of theirs
+        return NotInThickCert(
+            missing_gen=aG.normal_gens[0],
+            support_x=sX,
+            support_g=sG,
+            note="support of the target is not contained in the support "
+            "of the generator",
+        )
+    # past the support check a power of the one generator of ann(H* G)
     # lies in ann(H* X), so the powers cannot freeze short of containment
     prev_witness = None
     for k in range(1, cap + 1):
@@ -244,36 +245,26 @@ def thick_member(X, G):
 
 def koszul_power_obstruction(I, n):
     """Certificate that koszul(I^n) needs at least n levels (n-1 cones)
-    against the generator koszul(I)."""
-    return _power_certificates(I, [n])[0]
-
-
-def _power_certificates(I, ns):
-    """koszul_power_obstruction(I, n) for each n in ns, over any ring.
-    No complex is built: the two containments the bound rests on,
-    I <= ann H*(K(I)) and ann H*(K(I^n)) <= I^n, hold for any list of
-    generators (POWER_NOTE)."""
+    against the generator koszul(I), over any ring.  No complex is
+    built: the two containments the bound rests on, I <= ann H*(K(I))
+    and ann H*(K(I^n)) <= I^n, hold for any list of generators
+    (POWER_NOTE)."""
     if not I.is_proper():
         raise EngineError("obstruction needs a proper ideal")
-    certs = []
-    for n in ns:
-        if n < 1:
-            raise ValueError("power must be at least 1")
-        p_prev = I.power(n - 1)
-        p_n = I.power(n)
-        witness = next((g for g in p_prev.normal_gens if not p_n.member(g)), None)
-        if witness is None:
-            raise PowersStabilizedError(
-                n - 1,
-                f"I^{n - 1} equals I^{n}; the power chain stabilized and the "
-                f"obstruction at n = {n} vanishes",
-            )
-        certs.append(
-            LowerBoundCert(
-                level=n, generator_ann=I, target_ann=p_n, witness=witness, note=POWER_NOTE
-            )
+    if n < 1:
+        raise ValueError("power must be at least 1")
+    p_prev = I.power(n - 1)
+    p_n = I.power(n)
+    witness = next((g for g in p_prev.normal_gens if not p_n.member(g)), None)
+    if witness is None:
+        raise PowersStabilizedError(
+            n - 1,
+            f"I^{n - 1} equals I^{n}; the power chain stabilized and the "
+            f"obstruction at n = {n} vanishes",
         )
-    return certs
+    return LowerBoundCert(
+        level=n, generator_ann=I, target_ann=p_n, witness=witness, note=POWER_NOTE
+    )
 
 
 def principal_power_witness(x, n):
@@ -392,7 +383,7 @@ def strong_generation_obstruction(I, max_n):
             note="the ideal is nilpotent, so V(I) = Spec R and the power "
             "chain collapses; the obstruction degenerates",
         )
-    certs = _power_certificates(I, range(2, max_n + 1))
+    certs = [koszul_power_obstruction(I, n) for n in range(2, max_n + 1)]
     return ObstructionReport(
         ring=ring,
         ideal=I,

@@ -16,9 +16,10 @@ factors (snf.invariant_factors, a Smith form without transforms) are
 all the reading needs, and homology_all computes them once per
 differential for every degree.
 
-Over D/(mu) with mu nonzero (Z/m, k[t]/(f)) let A = lift(d^n) (m x r)
-and B = lift(d^(n-1)) (r x s).  A B = 0 mod mu, so C = A B / mu is
-exact in D, and
+Over D/(mu) with mu nonzero (Z/m, k[t]/(f)) let A (m x r) and B
+(r x s) be d^n and d^(n-1) read over D, each entry its canonical
+representative (the payload itself).  A B = 0 mod mu, so C = A B / mu
+is exact in D, and
 
     D^(s+r) --M--> D^(r+m) --[A | mu*I]--> D^m,   M = [[B, mu*I], [-C, -A]]
 
@@ -40,7 +41,7 @@ complex's homology (homology, ann, support, thick-member, level-lb,
 is_quasi_iso) thus sweeps its differentials once.  Nothing is kept
 outside the object, so an equal but distinct complex, or the same
 script run again, computes afresh.  homology(X, n) reads one degree
-and stores nothing.
+of that stored sweep.
 
 Annihilators and supports are principal, so they are computed on cover
 generators: the total annihilator is the lcm of the per-degree ones,
@@ -105,7 +106,7 @@ def fp_direct_sum(a, b):
         raise TierError("direct sum of modules over different rings")
     ring = a.ring
     cover = ring.cover_ring
-    diag = [cover.gcd(ring.lift(f), ring.modulus) for f in a.factors + b.factors]
+    diag = [cover.gcd(f, ring.modulus) for f in a.factors + b.factors]
     diag += [ring.modulus] * (a.free_rank + b.free_rank)
     k = len(diag)
     D = Matrix.build(cover, k, k, lambda i, j: diag[i] if i == j else cover.zero())
@@ -138,11 +139,12 @@ def require_tier_one(ring):
 
 
 def homology(X, n):
-    """H^n(X) as an FPModule over X.ring (Tier 1 only)."""
+    """H^n(X) as an FPModule over X.ring (Tier 1 only), read from
+    homology_all(X); the zero module where X has no module in degree n.
+    The tier check comes first, since the zero complex sweeps to {}
+    over any ring."""
     require_tier_one(X.ring)
-    if X.ring.modulus:
-        return _quotient_homology(X, n)
-    return _free_homology(X, n, {m: invariant_factors(X.diff(m)) for m in (n - 1, n)})
+    return homology_all(X).get(n, FPModule(X.ring, 0, ()))
 
 
 def homology_all(X):
@@ -164,26 +166,24 @@ def _sweep(X):
     require_tier_one(X.ring)
     if X.ring.modulus:
         return {n: _quotient_homology(X, n) for n in X.degrees()}
+    # over D, ker d^n has rank rank_n - rk d^n and contains im d^(n-1)
+    # as a submodule with the invariant factors of d^(n-1); a degree
+    # with no differential has none
     factors = {n: invariant_factors(d) for n, d in X.diffs.items()}
-    return {n: _free_homology(X, n, factors) for n in X.degrees()}
-
-
-def _free_homology(X, n, factors):
-    """H^n over D, from `factors`, the invariant factors of differentials
-    by degree (a missing degree has none): ker d^n has rank
-    rank_n - rk d^n and contains im d^(n-1) as a submodule with the
-    invariant factors of d^(n-1)."""
-    return _read_invariants(X.ring, X.rank(n) - len(factors.get(n, ())), factors.get(n - 1, ()))
+    return {
+        n: _read_invariants(X.ring, X.rank(n) - len(factors.get(n, ())), factors.get(n - 1, ()))
+        for n in X.degrees()
+    }
 
 
 def _quotient_homology(X, n):
     """H^n over D/(mu), mu nonzero, from the invariant factors of
     M = [[B, mu*I], [-C, -A]] with A, B the lifted d^n, d^(n-1) and
-    C = A B / mu (see the module docstring)."""
+    C = A B / mu (see the module docstring).  A payload is its own
+    representative in D, so lifting a matrix only re-tags its ring."""
     ring = X.ring
     cover, mu = ring.cover_ring, ring.modulus
-    A = X.diff(n).map_entries(ring.lift, cover)
-    B = X.diff(n - 1).map_entries(ring.lift, cover)
+    A, B = (Matrix(cover, d.rows, d.nrows, d.ncols) for d in (X.diff(n), X.diff(n - 1)))
     C = (A @ B).map_entries(lambda x: cover.exact_div(x, mu))
     (m, r), s = A.shape(), B.ncols
     muI = Matrix.scalar(cover, mu, r)

@@ -5,11 +5,12 @@ Every Tier-1 ring is a quotient D/(mu) of a Euclidean cover ring D,
 with mu = 0 when the ring is D itself.  An ideal of D/(mu) is the
 image of the principal ideal of D generated by
 
-    g = gcd(lift(f_1), ..., lift(f_k), mu),
+    g = gcd(f_1, ..., f_k, mu),
 
-the cover generator.  Membership, unit and radical tests all run on g
-in D; the normal data is the projection of g.  Over the Tier-2
-multivariate rings the normal data is the reduced Groebner basis.
+the cover generator, each f_i read in D as its canonical
+representative.  Membership, unit and radical tests all run on g in D;
+the normal data is the projection of g.  Over the Tier-2 multivariate
+rings the normal data is the reduced Groebner basis.
 
 Ideal equality is normal-data equality, which is sound because each of
 those normal forms is a complete invariant.
@@ -39,8 +40,8 @@ class Ideal:
             self._cover_gen = None
             self._normal = buchberger(ring, [g.payload for g in pruned])
         else:
-            lifts = [ring.lift(g.payload) for g in pruned] + [ring.modulus]
-            self._cover_gen = ring.cover_ring.gcd_list(lifts)
+            payloads = [g.payload for g in pruned] + [ring.modulus]
+            self._cover_gen = ring.cover_ring.gcd_list(payloads)
             self._normal = (ring.project(self._cover_gen),)
 
     # normal data --------------------------------------------------------
@@ -100,10 +101,9 @@ class Ideal:
                 return ring.is_zero(f.payload)
             return not normal_form(ring, f.payload, self._normal)
         cover = ring.cover_ring
-        lifted = ring.lift(f.payload)
         if cover.is_zero(self._cover_gen):
-            return cover.is_zero(lifted)
-        return cover.is_zero(cover.euclid_divmod(lifted, self._cover_gen)[1])
+            return cover.is_zero(f.payload)
+        return cover.is_zero(cover.euclid_divmod(f.payload, self._cover_gen)[1])
 
     def contains(self, other):
         if other.ring != self.ring:
@@ -173,7 +173,7 @@ class Ideal:
             return True
         if isinstance(ring, MultiPolyRing):
             return self._radical_member_multi(f.payload)
-        return euclid_radical_member(ring.cover_ring, self._cover_gen, ring.lift(f.payload))
+        return euclid_radical_member(ring.cover_ring, self._cover_gen, f.payload)
 
     def _radical_member_multi(self, f):
         ring = self.ring

@@ -41,10 +41,6 @@ def uni_x(F):
     return (F.zero(), F.one())
 
 
-def uni_lc(f):
-    return f[-1]
-
-
 def uni_add(F, f, g):
     n = max(len(f), len(g))
     out = []
@@ -81,7 +77,7 @@ def uni_divmod(F, f, g):
     """Division with remainder; g must be nonzero (field coefficients)."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    lc_inv = F.inv_unit(uni_lc(g))
+    lc_inv = F.inv_unit(g[-1])
     rem = list(f)
     dq = len(f) - len(g)
     if dq < 0:
@@ -102,7 +98,7 @@ def uni_monic(F, f):
     """(monic associate, unit u) with u*f monic; zero maps to (0, 1)."""
     if not f:
         return (), F.one()
-    u = F.inv_unit(uni_lc(f))
+    u = F.inv_unit(f[-1])
     return uni_scale(F, u, f), u
 
 
@@ -275,11 +271,6 @@ def m_mul(F, f, g, M):
             terms.append((m, F.mul(c1, c2)))
     M.check(seen)
     return m_canon(F, terms, M)
-
-
-def m_lt(f):
-    """Leading (monomial, coeff); payload is sorted descending."""
-    return f[0]
 
 
 def m_monic(F, f):

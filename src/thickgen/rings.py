@@ -13,9 +13,12 @@ calculus only; no matrix kernels).
 The quotients Z/m and k[t]/(f) are read through their cover ring: a
 QuotientRing D/(mu) stores each element as its canonical representative
 in D, the remainder D.residue(c, mu) (in [0, m) over Z, of degree below
-deg f over k[t]).  Units, inverses and exact division are computed in D
-from gcds with mu and one extended Euclid, EuclideanRing.inverse_mod;
-only add, neg and mul are written per kind.
+deg f over k[t]).  That representative is a payload of D as it stands,
+so code that works in D takes a quotient payload with no lift, and
+project(c) = D.residue(c, mu) is the only map between the two.  Units,
+inverses and exact division are computed in D from gcds with mu and
+one extended Euclid, EuclideanRing.inverse_mod; only add, neg and mul
+are written per kind.
 """
 
 import operator
@@ -120,7 +123,7 @@ class EuclideanRing(Ring):
     univariate polynomials over a field).
 
     A Euclidean ring D is also the quotient D/(0): it is its own cover
-    ring, its modulus is zero, and lift and project are the identity.
+    ring, its modulus is zero, and project is the identity.
     Principal-ideal code works through that view alone."""
 
     @property
@@ -130,9 +133,6 @@ class EuclideanRing(Ring):
     @property
     def modulus(self):
         return self.zero()
-
-    def lift(self, a):
-        return a
 
     def project(self, c):
         return c
@@ -183,8 +183,8 @@ class EuclideanRing(Ring):
 class QuotientRing(Ring):
     """Quotient D/(mu) of a Euclidean domain D by a nonzero principal
     ideal: cover_ring is D, modulus is mu.  A payload is the canonical
-    representative D.residue(c, mu) of its class, so lift is the
-    identity and project reduces mod mu.  Everything but add, neg and
+    representative D.residue(c, mu) of its class, so it is used in D as
+    it is, and project reduces mod mu.  Everything but add, neg and
     mul is computed in D from that representative."""
 
     cover_ring = None
@@ -198,9 +198,6 @@ class QuotientRing(Ring):
 
     def from_int(self, k):
         return self.project(self.cover_ring.from_int(k))
-
-    def lift(self, a):
-        return a
 
     def project(self, c):
         return self.cover_ring.residue(c, self.modulus)
@@ -242,9 +239,6 @@ class FieldRing(EuclideanRing):
 
     def is_unit(self, a):
         return not self.is_zero(a)
-
-    def inv_unit(self, a):
-        raise NotImplementedError
 
     def exact_div(self, a, b):
         if self.is_zero(b):
@@ -598,9 +592,9 @@ class MultiPolyRing(Ring):
         F, M = self.F, self.mono
         rem = a
         quo = ()
-        lt_b = polys.m_lt(b)
+        lt_b = b[0]
         while rem:
-            lt_r = polys.m_lt(rem)
+            lt_r = rem[0]
             if not M.divides(lt_b[0], lt_r[0]):
                 raise NotDivisibleError(
                     f"{self.render(b)} does not divide {self.render(a)} in {self.describe()}"

@@ -141,7 +141,7 @@ def random_unlifted_complex(ring, rng, max_rank=3, tries=200):
     if not mu:
         raise TierError("unlifted complexes need a quotient ring D/(mu)")
     for _ in range(tries):
-        g = cover.gcd(ring.lift(ring.random_element(rng)), mu)
+        g = cover.gcd(ring.random_element(rng), mu)
         factors = (ring.project(g), ring.project(cover.exact_div(mu, g)))
         s, r, m = (rng.randint(1, max_rank) for _ in range(3))
         d0, d1 = (
@@ -151,7 +151,7 @@ def random_unlifted_complex(ring, rng, max_rank=3, tries=200):
         lo = rng.randint(-2, 0)
         plain = FreeComplex(ring, {lo: s, lo + 1: r, lo + 2: m}, {lo: d0, lo + 1: d1})
         X = _conjugate(plain, _random_transforms(ring, rng, plain))
-        lifted = [X.diff(n).map_entries(ring.lift, cover) for n in (lo, lo + 1)]
+        lifted = [Matrix(cover, d.rows, d.nrows, d.ncols) for d in map(X.diff, (lo, lo + 1))]
         if not (lifted[1] @ lifted[0]).is_zero():
             return X
     raise ValueError(f"no complex over {ring.describe()} failed to lift in {tries} draws")

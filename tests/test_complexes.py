@@ -216,3 +216,9 @@ def test_equality_ignores_materialized_zero_blocks():
     A = FreeComplex(ZZ, {0: 1, 1: 1}, {0: Matrix.zero(ZZ, 1, 1)})
     B = FreeComplex(ZZ, {0: 1, 1: 1}, {})
     assert A == B and hash(A) == hash(B)
+    # a chain map given an explicit zero component is the map without it
+    f = ChainMap(A, B, {0: Matrix.zero(ZZ, 1, 1)})
+    g = ChainMap(A, B, {})
+    assert f == g and hash(f) == hash(g)
+    assert f.is_zero() and g.is_zero()
+    assert ChainMap(A, B, {0: Matrix.identity(ZZ, 1), 1: Matrix.identity(ZZ, 1)}) != g

@@ -34,10 +34,10 @@ from thickgen.generation import (
     thick_member,
     validate_witness,
 )
-from thickgen.homology import ann_total_homology
+from thickgen.homology import ann_total_homology, supph
 from thickgen.ideals import Ideal
 from thickgen.matrices import Matrix
-from thickgen.rings import QQ, ZZ, Zmod, poly_ring
+from thickgen.rings import GF, QQ, ZZ, RingElem, UniQuotRing, Zmod, poly_ring
 
 from oracles import LEVEL_FAMILY_Z, OBSTRUCT_QXY_WITNESSES, THICK_TABLE_Z
 from random_complexes import random_chain_map
@@ -150,6 +150,40 @@ def test_thick_membership_reflexive_and_sum_monotone():
     assert thick_member(X, S).member
     assert thick_member(Y, S).member
     assert not thick_member(S, X).member  # (5) escapes V(6)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        ZZ,
+        Zmod(12),
+        Zmod(360),
+        poly_ring(GF(5), ["x"]),
+        poly_ring(QQ, ["x"]),
+        UniQuotRing(GF(5), "t", (1, 0, 1)),
+    ],
+    ids=["Z", "Z/12", "Z/360", "F5[x]", "Q[x]", "F5[t]/(t^2+1)"],
+)
+def test_level_bound_and_thick_membership_decide_support_alike(ring):
+    # level-lb refuses exactly the pairs thick-member rejects, and names
+    # the one normal generator of ann(H* G) as the element that escapes
+    rng = random.Random(28)
+    pool = [
+        koszul(Ideal(ring, [RingElem(ring, ring.random_element(rng)) for _ in range(k)]))
+        for k in (1, 1, 1, 1, 1, 1, 2, 2)
+    ]
+    pool += [cone(random_chain_map(ring, rng, max_rank=3)) for _ in range(4)]
+    pool = [X for X in pool if not ann_total_homology(X).is_unit_ideal()]
+    verdicts = set()
+    for X in pool:
+        for G in pool:
+            member = thick_member(X, G).member
+            cert = level_lower_bound(X, G)
+            assert isinstance(cert, NotInThickCert) is not member
+            if not member:
+                assert cert.missing_gen == supph(G).ideal().normal_gens[0]
+            verdicts.add(member)
+    assert verdicts == {True, False}
 
 
 # ----------------------------------------------------------- build witnesses

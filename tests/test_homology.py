@@ -11,7 +11,7 @@ import pytest
 
 from thickgen import snf
 from thickgen.cli import run_script
-from thickgen.complexes import ChainMap, FreeComplex, cone, koszul, two_term
+from thickgen.complexes import ChainMap, FreeComplex, cone, koszul, two_term, zero_complex
 from thickgen.errors import TierError
 from thickgen.homology import (
     FPModule,
@@ -115,7 +115,7 @@ def test_fp_direct_sum_is_the_smith_form_of_the_diagonal(ring):
 
     for _ in range(30):
         a, b = random_module(), random_module()
-        diag = [ring.lift(f) for f in a.factors + b.factors]
+        diag = list(a.factors + b.factors)
         diag += [ring.modulus] * (a.free_rank + b.free_rank)
         k = len(diag)
         D = Matrix(cover, [[diag[i] if i == j else cover.zero() for j in range(k)] for i in range(k)], k, k)
@@ -180,6 +180,12 @@ def test_supph_is_tier_one_only():
     I = Ideal(R, [R.var_elem(0), R.var_elem(1)])
     with pytest.raises(TierError):
         supph(koszul(I))
+    # the zero complex sweeps to no degrees over any ring, but reading
+    # one degree still checks the tier first
+    Z = zero_complex(R)
+    assert homology_all(Z) == {}
+    with pytest.raises(TierError):
+        homology(Z, 0)
     S = closed_set(I)
     for decide in (lambda: S.contains(S), lambda: resolve_primes(S), S.ideal):
         with pytest.raises(TierError):
@@ -226,15 +232,17 @@ def test_wide_quotient_cone_homology_terminates_quickly():
     "ring,expected",
     [
         (ZZ, dict(invariant_factors=2, smith_normal_form=0, kernel_basis=0, solve_exact=0)),
-        (Zmod(12), dict(invariant_factors=1, smith_normal_form=0, kernel_basis=0, solve_exact=0)),
+        (Zmod(12), dict(invariant_factors=3, smith_normal_form=0, kernel_basis=0, solve_exact=0)),
     ],
     ids=["Z", "Z/12"],
 )
-def test_one_homology_degree_runs_one_smith_form(ring, expected, monkeypatch):
-    # over Z a degree reads the invariant factors of its two
-    # differentials; over Z/12 those of the one matrix [[B, mu*I],
-    # [-C, -A]] built from both, and neither needs a lattice basis, an
-    # exact solve or a Smith form with transforms
+def test_one_homology_degree_reads_the_stored_sweep(ring, expected, monkeypatch):
+    # one degree reads the sweep of the whole complex: over Z the
+    # invariant factors of each of its two differentials, over Z/12
+    # those of one matrix [[B, mu*I], [-C, -A]] per degree, three in
+    # all; neither needs a lattice basis, an exact solve or a Smith form
+    # with transforms, and a second degree of the same complex object
+    # reads what the first stored
     expected = dict(expected, hermite_basis=0)
     calls = dict.fromkeys(expected, 0)
 
@@ -252,8 +260,11 @@ def test_one_homology_degree_runs_one_smith_form(ring, expected, monkeypatch):
             owner = importlib.import_module(module)
             if hasattr(owner, name):
                 monkeypatch.setattr(owner, name, wrapped)
-    H = homology(koszul(Ideal(ring, [2, 3])), -1)
-    assert H.is_zero()
+    X = koszul(Ideal(ring, [2, 3]))
+    assert homology(X, -1).is_zero()
+    assert calls == expected
+    for m in (-2, 0, 5):
+        homology(X, m)
     assert calls == expected
 
 
@@ -313,7 +324,7 @@ def _lattice_homology(X, n):
     [d^(n-1) | mu*I] written in K coordinates, and their Smith form."""
     R = X.ring
     D, mu = R.cover_ring, R.modulus
-    A, B = (X.diff(k).map_entries(R.lift, D) for k in (n, n - 1))
+    A, B = (Matrix(D, d.rows, d.nrows, d.ncols) for d in map(X.diff, (n, n - 1)))
     (m, r), s = A.shape(), B.ncols
     if mu:
         wide = Matrix.from_blocks(D, m, r + m, [(0, 0, A), (0, r, Matrix.scalar(D, mu, m))])
@@ -386,7 +397,7 @@ def test_quotient_polynomial_cone_homology_matches_euler_characteristic():
     for n in C.degrees():
         H = homology(C, n)
         sign = 1 if n % 2 == 0 else -1
-        chi_h += sign * (deg * H.free_rank + sum(uni_deg(R.lift(g)) for g in H.factors))
+        chi_h += sign * (deg * H.free_rank + sum(uni_deg(g) for g in H.factors))
         chi_c += sign * deg * C.rank(n)
     assert chi_h == chi_c
 
